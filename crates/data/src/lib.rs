@@ -24,7 +24,6 @@ pub mod city;
 pub mod dist;
 pub mod gaussian;
 pub mod od;
-pub mod parallel;
 pub mod timeframe;
 pub mod trajectory;
 pub mod zipf;

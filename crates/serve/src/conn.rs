@@ -1,13 +1,20 @@
-//! Per-connection protocol state machines for the event-driven front
-//! end: incremental assembly of NDJSON lines and `DPRB` frames from
-//! partial, nonblocking reads.
+//! The wire protocol layer, shared by both TCP front ends: incremental
+//! assembly of NDJSON lines and `DPRB` frames from partial reads
+//! ([`Assembler`]), and the answering of the assembled items
+//! ([`run_job`]).
 //!
-//! The [`Assembler`] is deliberately socket-free — it consumes byte
-//! chunks in whatever sizes the kernel delivers them and emits
-//! [`WorkItem`]s, so a slow-loris client feeding one byte per read
-//! produces exactly the same items as a pipelined client delivering a
-//! megabyte at once (the unit tests below pin this byte-at-a-time).
-//! All protocol semantics mirror the blocking thread-pool front end:
+//! This module owns every protocol decision and touches no socket. Two
+//! socket owners feed it: the epoll shards of [`crate::event`] (their
+//! workers push nonblocking reads) and the blocking
+//! thread-per-connection fallback in [`crate::server`] (its worker
+//! pushes each blocking read). Both write the returned bytes back
+//! verbatim, so the two front ends answer a stream identically.
+//!
+//! The [`Assembler`] consumes byte chunks in whatever sizes the kernel
+//! delivers them and emits [`WorkItem`]s, so a slow-loris client
+//! feeding one byte per read produces exactly the same items as a
+//! pipelined client delivering a megabyte at once (the unit tests below
+//! pin this byte-at-a-time):
 //!
 //! * the encoding sniff matches the available prefix against the `DPRB`
 //!   magic and never consumes bytes from a JSON client;
@@ -16,16 +23,17 @@
 //! * a `DPRB` frame declaring more than
 //!   [`wire::MAX_FRAME_BYTES`] — or truncated by EOF mid-frame — cannot
 //!   be resynced: the stream is poisoned with one final error item.
-//!
-//! Decoding (JSON parse, frame-body decode) and execution stay on the
-//! worker pool; the event loop only runs this framing layer.
 
-use crate::server::{WireMode, MAX_LINE_BYTES};
+use crate::metrics::{Stage, Transport, KIND_UNDECODABLE};
+use crate::protocol::{Request, Response};
+use crate::server::{ResponseEncoding, Server, WireMode, MAX_LINE_BYTES};
 use crate::wire;
+use dpod_obs::Span;
+use std::sync::Arc;
 
 /// One unit of work extracted from a connection's byte stream, in
-/// arrival order. The worker that owns the connection's queue turns
-/// each item into response bytes (possibly none, for blank lines).
+/// arrival order. [`run_job`] turns each item into response bytes
+/// (possibly none, for blank lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum WorkItem {
     /// One newline-delimited JSON request line (without the trailing
@@ -126,9 +134,8 @@ impl Assembler {
         self.compact();
     }
 
-    /// Marks end-of-stream: a trailing unterminated JSON line is served
-    /// (exactly as the blocking front end's `read_line` would), while a
-    /// partial `DPRB` frame or preamble is a truncation.
+    /// Marks end-of-stream: a trailing unterminated JSON line is served,
+    /// while a partial `DPRB` frame or preamble is a truncation.
     pub(crate) fn push_eof(&mut self) {
         if self.poisoned || self.eof {
             return;
@@ -184,10 +191,9 @@ impl Assembler {
         }
     }
 
-    /// The encoding sniff, byte-for-byte the blocking front end's: the
-    /// available prefix is matched against the `DPRB` magic, committing
-    /// to binary (and consuming the 5-byte preamble) only on a full
-    /// match — so no byte of a JSON stream is ever consumed, and a
+    /// The encoding sniff: the available prefix is matched against the
+    /// `DPRB` magic, committing to binary (and consuming the 5-byte
+    /// preamble) only on a full match — so no byte of a JSON stream is ever consumed, and a
     /// preamble arriving one byte at a time still selects binary.
     fn sniff(&mut self) -> bool {
         let avail = &self.buf[self.pos..];
@@ -255,9 +261,8 @@ impl Assembler {
         {
             Some(i) => {
                 // The bound applies even when the newline shows up in
-                // the same chunk that crossed it: the blocking front
-                // end's `Read::take(MAX_LINE_BYTES)` refuses any line
-                // whose content reaches the cap, newline or not.
+                // the same chunk that crossed it: any line whose
+                // content reaches the cap is refused, newline or not.
                 if i as u64 >= MAX_LINE_BYTES {
                     self.poison(WorkItem::Desync {
                         as_binary: false,
@@ -278,8 +283,7 @@ impl Assembler {
                         message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                     });
                 } else if self.eof && !avail.is_empty() {
-                    // A final unterminated line is still a request, as
-                    // it is under the blocking `read_line` loop.
+                    // A final unterminated line is still a request.
                     let line = avail.to_vec();
                     self.pos = self.buf.len();
                     self.items.push(WorkItem::JsonLine(line));
@@ -336,10 +340,85 @@ impl Assembler {
     }
 }
 
+/// Turns one connection's ordered work items into response bytes.
+/// Returns `(bytes, close_after)`; shared by both front ends' workers.
+/// Execution and serialization are fused in [`Server::handle_encoded`]
+/// (that fusion is what lets a warm encoded-memo hit skip both), so the
+/// execute lap covers them and the encode lap is the memcpy into the
+/// connection's write buffer. `packed` selects the packed `DPRB`
+/// response opcodes for peers that negotiated them.
+pub(crate) fn run_job(server: &Server, items: Vec<WorkItem>, packed: bool) -> (Vec<u8>, bool) {
+    let metrics = server.metrics();
+    let frame_enc = if packed {
+        ResponseEncoding::BinaryPacked
+    } else {
+        ResponseEncoding::Binary
+    };
+    let mut out = Vec::new();
+    for item in items {
+        match item {
+            WorkItem::JsonLine(bytes) => {
+                let mut span = Span::start();
+                // Invalid UTF-8 closes the connection.
+                let Ok(line) = std::str::from_utf8(&bytes) else {
+                    return (out, true);
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let encoded = match serde_json::from_str::<Request>(line.trim_end()) {
+                    Ok(request) => {
+                        metrics.count_request(Transport::Json, &request);
+                        server.handle_encoded(&request, ResponseEncoding::Json)
+                    }
+                    Err(e) => {
+                        metrics.count_request_index(Transport::Json, KIND_UNDECODABLE);
+                        Arc::new(ResponseEncoding::Json.encode(&Response::Error {
+                            message: format!("bad request: {e}"),
+                        }))
+                    }
+                };
+                span.lap(metrics.stage(Transport::Json, Stage::Execute));
+                out.extend_from_slice(&encoded);
+                span.finish(metrics.stage(Transport::Json, Stage::Encode));
+            }
+            WorkItem::Frame(body) => {
+                let mut span = Span::start();
+                let encoded = match wire::decode_request(&body) {
+                    Ok(request) => {
+                        metrics.count_request(Transport::Binary, &request);
+                        server.handle_encoded(&request, frame_enc)
+                    }
+                    Err(e) => {
+                        metrics.count_request_index(Transport::Binary, KIND_UNDECODABLE);
+                        Arc::new(frame_enc.encode(&Response::Error {
+                            message: format!("bad request: {e}"),
+                        }))
+                    }
+                };
+                span.lap(metrics.stage(Transport::Binary, Stage::Execute));
+                out.extend_from_slice(&encoded);
+                span.finish(metrics.stage(Transport::Binary, Stage::Encode));
+            }
+            WorkItem::Desync { as_binary, message } => {
+                let (transport, enc) = if as_binary {
+                    (Transport::Binary, ResponseEncoding::Binary)
+                } else {
+                    (Transport::Json, ResponseEncoding::Json)
+                };
+                metrics.count_request_index(transport, KIND_UNDECODABLE);
+                out.extend_from_slice(&enc.encode(&Response::Error { message }));
+                return (out, true);
+            }
+            WorkItem::SilentClose => return (out, true),
+        }
+    }
+    (out, false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Request;
 
     /// Feeds `bytes` one at a time and returns everything assembled.
     fn drip(mode: WireMode, bytes: &[u8], eof: bool) -> (Vec<WorkItem>, bool) {
@@ -488,7 +567,7 @@ mod tests {
         assert!(a.take_items().is_empty());
 
         // The cap binds even when the newline arrives in the chunk
-        // that crosses it (parity with the blocking `Read::take` path):
+        // that crosses it:
         // content of exactly MAX_LINE_BYTES is refused…
         let mut a = Assembler::new(WireMode::Auto);
         a.push(&vec![b'x'; MAX_LINE_BYTES as usize]);

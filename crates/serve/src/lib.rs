@@ -18,14 +18,15 @@
 //!   total) under the same budget, so warm aggregate plans skip the
 //!   rescan entirely;
 //! * [`Server`] — the request front end: an in-process [`Server::handle`]
-//!   API driven directly by the CLI, tests and benches, plus two
-//!   std-only TCP serving cores ([`spawn_with`], selected by
-//!   [`FrontEnd`]): an epoll-driven event loop where open connections
-//!   are cheap state served by a small worker pool (the default), and
-//!   the legacy thread-per-connection pool kept as a kill-switch. Both
-//!   speak newline-delimited JSON and/or the length-prefixed `DPRB`
+//!   API driven directly by the CLI, tests and benches, plus std-only
+//!   TCP serving ([`spawn_with`]). One socket-free protocol layer frames
+//!   and answers newline-delimited JSON and the length-prefixed `DPRB`
 //!   binary protocol ([`wire`]), selected per connection by a preamble
-//!   sniff ([`WireMode`]).
+//!   sniff ([`WireMode`]). Two socket owners feed it, selected by
+//!   [`FrontEnd`]: epoll loop shards where open connections are cheap
+//!   state served by a small worker pool (the default), and a blocking
+//!   thread-per-connection fallback kept as a kill-switch and for
+//!   targets without epoll.
 //!
 //! Every transport serves the same typed query algebra: a
 //! [`Request::Plan`](protocol::Request::Plan) carries any
@@ -43,7 +44,6 @@
 #![warn(clippy::all)]
 
 mod catalog;
-#[cfg(unix)]
 mod conn;
 mod engine;
 #[cfg(unix)]

@@ -1,40 +1,42 @@
-//! The request front end: in-process dispatch plus two TCP serving
-//! cores.
+//! The request front end: in-process dispatch plus two TCP socket
+//! owners over one protocol layer.
 //!
 //! [`Server::handle`] is the whole request surface — the CLI, tests and
 //! benches call it directly with zero serialization. [`spawn_with`]
-//! wraps the same dispatch behind a `TcpListener` using one of two
-//! front ends (selected by [`FrontEnd`], no async runtime either way):
+//! wraps the same dispatch behind a `TcpListener`. Every byte on the
+//! wire is framed and answered by [`crate::conn`]: its `Assembler`
+//! turns reads into NDJSON lines and `DPRB` frames (the encoding sniff,
+//! the preamble and version check, the line and frame caps, the
+//! desync farewells) and its `run_job` answers them. Which socket owner
+//! feeds it is selected by [`FrontEnd`] (no async runtime either way):
 //!
-//! * **`event`** (the default) — a readiness-driven core
-//!   ([`crate::event`]): one epoll loop owns every socket as cheap
-//!   nonblocking state, assembles requests incrementally
-//!   ([`crate::conn`]), and dispatches them to the worker pool — `N`
-//!   workers serve `M ≫ N` connections, so an idle analyst costs a few
-//!   kilobytes, not a thread.
-//! * **`pool`** — the legacy thread-per-connection core kept as an
-//!   operational kill-switch (`dpod serve --front-end pool`): one
-//!   acceptor hands sockets to workers over an `mpsc` channel, each
-//!   worker answers one connection's requests in order, and the
-//!   [`IDLE_TIMEOUT`] reclaims workers from clients that go quiet.
+//! * **`event`** (the default) — epoll loop shards ([`crate::event`])
+//!   own every socket as cheap nonblocking state and dispatch raw bytes
+//!   to the worker pool — `N` workers serve `M ≫ N` connections, so an
+//!   idle analyst costs a few kilobytes, not a thread.
+//! * **`pool`** — the blocking thread-per-connection fallback, kept as
+//!   an operational kill-switch (`dpod serve --front-end pool`) and the
+//!   only front end off Linux: one acceptor hands sockets to workers
+//!   over an `mpsc` channel, each worker runs a blocking read loop for
+//!   one connection, and the [`IDLE_TIMEOUT`] reclaims workers from
+//!   clients that go quiet.
 //!
-//! Both front ends serve bit-identical bytes (pinned by test) and both
-//! maintain the open/accepted-connection gauges surfaced in
+//! Both front ends therefore serve identical bytes (pinned by test) and
+//! both maintain the open/accepted-connection gauges surfaced in
 //! [`ServerStats`]. Each connection speaks one of two encodings,
 //! selected by its first bytes (see [`WireMode`]): the `DPRB` binary
 //! preamble switches to length-prefixed frames ([`crate::wire`]),
-//! anything else is served as newline-delimited JSON exactly as before
-//! the binary protocol existed.
+//! anything else is served as newline-delimited JSON.
 
-use crate::metrics::{ServeMetrics, Stage, Transport};
+use crate::conn::{run_job, Assembler};
+use crate::metrics::ServeMetrics;
 use crate::protocol::{ReleaseHits, ReleaseInfo, Request, Response, ServerStats};
 use crate::series::{self, SeriesLedgers};
 use crate::{wire, Catalog, QueryEngine, ServeError};
 use dpod_fmatrix::AxisBox;
-use dpod_obs::Span;
 use dpod_query::{Answer, EpochSelector, QueryPlan, WindowMerge};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -83,7 +85,7 @@ pub enum FrontEnd {
     /// cheap state rather than threads.
     #[default]
     Event,
-    /// The legacy thread-per-connection pool, kept as a kill-switch:
+    /// The blocking thread-per-connection pool, kept as a kill-switch:
     /// concurrency is capped at the worker count, but no epoll is
     /// required. Also the automatic fallback on targets without epoll.
     Pool,
@@ -1215,7 +1217,7 @@ fn spawn_event_front_end(
     ))
 }
 
-/// The legacy thread-per-connection front end (see the module docs).
+/// The blocking thread-per-connection front end (see the module docs).
 fn spawn_pool_front_end(
     server: Arc<Server>,
     listener: TcpListener,
@@ -1249,7 +1251,7 @@ fn spawn_pool_front_end(
                     pool_state.handed.fetch_sub(1, Ordering::SeqCst);
                     // Per-connection failures are that connection's
                     // problem; the worker lives on.
-                    let _ = handle_connection(&server, s, mode, idle_timeout);
+                    let _ = serve_connection(&server, s, mode, idle_timeout);
                     pool_state.unregister(id);
                     server.connection_closed();
                 }
@@ -1303,203 +1305,37 @@ fn spawn_pool_front_end(
     }
 }
 
-/// Serves one connection in whichever encoding its first bytes select
-/// (subject to `mode`), until the peer closes or stays silent past
-/// `idle_timeout` (default [`IDLE_TIMEOUT`]).
-///
-/// The encoding sniff never consumes bytes from a JSON client: it peeks
-/// at the reader's buffered data and only commits (reads the 5-byte
-/// preamble) when the available prefix matches the `DPRB` magic — which
-/// no JSON document can produce, `{`/`"`-initial as they are. The JSON
-/// byte stream is therefore exactly what it was before the binary
-/// protocol existed.
-fn handle_connection(
+/// The pool worker's blocking read loop for one connection: each read
+/// is pushed into the same [`Assembler`] the event loop uses (EOF as
+/// [`Assembler::push_eof`]) and [`run_job`] answers the assembled items.
+/// Returns when the peer closes, when a protocol violation closes the
+/// stream, or when a read or write outlasts `idle_timeout` (default
+/// [`IDLE_TIMEOUT`]); a timeout ends the connection silently.
+fn serve_connection(
     server: &Server,
-    stream: TcpStream,
+    mut stream: TcpStream,
     mode: WireMode,
     idle_timeout: Duration,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(idle_timeout))?;
     stream.set_write_timeout(Some(idle_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    // Peek at whatever the first read delivers; a prefix match against
-    // the magic means a binary client (its preamble may still straddle
-    // packets, so match on what is available rather than demanding all
-    // four bytes up front).
-    let first = reader.fill_buf()?;
-    if first.is_empty() {
-        return Ok(()); // EOF before any request
-    }
-    let n = first.len().min(wire::WIRE_MAGIC.len());
-    let looks_binary = first[..n] == wire::WIRE_MAGIC[..n];
-
-    match (looks_binary, mode) {
-        (true, WireMode::Json) => {
-            // Consume the preamble so the refusal frame is this
-            // connection's only traffic, then say why in-protocol.
-            let mut preamble = [0u8; 5];
-            let _ = reader.read_exact(&mut preamble);
-            refuse_binary(&mut writer, "this endpoint serves JSON only (--wire json)")
-        }
-        (true, _) => serve_binary(server, reader, writer),
-        (false, WireMode::Binary) => refuse_binary(
-            &mut writer,
-            "this endpoint serves DPRB only (--wire binary)",
-        ),
-        (false, _) => serve_ndjson(server, reader, writer),
-    }
-}
-
-/// Sends one binary error frame and closes.
-fn refuse_binary(writer: &mut impl Write, message: &str) -> std::io::Result<()> {
-    let body = wire::encode_response(&Response::Error {
-        message: message.to_string(),
-    });
-    let _ = wire::write_frame(writer, &body);
-    writer.flush()
-}
-
-/// The `DPRB` side of [`handle_connection`]: validates the preamble,
-/// then answers one response frame per request frame, in order.
-///
-/// Error handling is split by whether the stream is still in sync: a
-/// frame that arrives intact but fails to decode (bad inner magic,
-/// unknown opcode, truncated payload, trailing bytes) gets a
-/// [`Response::Error`] frame and the connection lives on; a transport-
-/// level violation (length prefix beyond [`wire::MAX_FRAME_BYTES`],
-/// mid-frame EOF) cannot be resynced, so the worker sends a final error
-/// frame and closes.
-fn serve_binary(
-    server: &Server,
-    mut reader: BufReader<TcpStream>,
-    mut writer: BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    let mut preamble = [0u8; 5];
-    reader.read_exact(&mut preamble)?;
-    if &preamble[..4] != wire::WIRE_MAGIC {
-        return refuse_binary(&mut writer, "bad preamble magic");
-    }
-    // The version byte carries optional feature bits above the base
-    // version; masking them off first keeps genuinely unknown versions
-    // refused while letting an opted-in client negotiate packed frames.
-    if preamble[4] & !wire::WIRE_FEATURE_PACKED != wire::WIRE_VERSION {
-        return refuse_binary(
-            &mut writer,
-            &format!(
-                "unsupported DPRB version {}, expected {}",
-                preamble[4],
-                wire::WIRE_VERSION
-            ),
-        );
-    }
-    let enc = if preamble[4] & wire::WIRE_FEATURE_PACKED != 0 {
-        ResponseEncoding::BinaryPacked
-    } else {
-        ResponseEncoding::Binary
-    };
+    let mut asm = Assembler::new(mode);
+    let mut buf = vec![0u8; 64 << 10];
     loop {
-        match wire::read_frame(&mut reader) {
-            Ok(None) => return Ok(()), // clean EOF
-            Ok(Some(body)) => {
-                // Stage timing on the pool path covers execute and
-                // encode (parse/queue/write have no separable moments
-                // in a blocking read-answer-write loop). Execution and
-                // serialization are fused in `handle_encoded` (that is
-                // what lets a warm memo hit skip both), so the execute
-                // lap covers them and the encode lap is the memcpy.
-                let metrics = server.metrics();
-                let mut span = Span::start();
-                let encoded = match wire::decode_request(&body) {
-                    Ok(request) => {
-                        metrics.count_request(Transport::Binary, &request);
-                        server.handle_encoded(&request, enc)
-                    }
-                    Err(e) => {
-                        metrics.count_request_index(
-                            Transport::Binary,
-                            crate::metrics::KIND_UNDECODABLE,
-                        );
-                        Arc::new(enc.encode(&Response::Error {
-                            message: format!("bad request: {e}"),
-                        }))
-                    }
-                };
-                span.lap(metrics.stage(Transport::Binary, Stage::Execute));
-                writer.write_all(&encoded)?;
-                span.finish(metrics.stage(Transport::Binary, Stage::Encode));
-                // As on the JSON path: flush only once no further
-                // request is already buffered, so pipelined batches are
-                // answered in large writes.
-                if reader.buffer().is_empty() {
-                    writer.flush()?;
-                }
-            }
-            // An idle peer is reclaimed silently (as on the JSON path);
-            // only genuine protocol violations earn an error frame.
-            Err(e) if e.is_idle_timeout() => return Ok(()),
-            Err(e) => return refuse_binary(&mut writer, &format!("protocol error: {e}")),
-        }
-    }
-}
-
-/// The newline-delimited JSON side of [`handle_connection`].
-///
-/// The write side also carries [`IDLE_TIMEOUT`]: a pipelining client
-/// that stops draining responses would otherwise block the worker in
-/// `flush` forever once the socket buffers fill (the client itself still
-/// writing — a mutual deadlock). With the timeout the worker errors out
-/// and the connection closes instead. Responses are flushed only when no
-/// further request is already buffered, so a pipelined batch is answered
-/// in large writes rather than one syscall per line.
-fn serve_ndjson(
-    server: &Server,
-    mut reader: BufReader<TcpStream>,
-    mut writer: BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // Bound the line so a client cannot grow the buffer without limit.
-        let n = std::io::Read::take(std::io::Read::by_ref(&mut reader), MAX_LINE_BYTES)
-            .read_line(&mut line)?;
-        if n == 0 {
-            return Ok(()); // EOF
-        }
-        if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
-            let msg = format!(
-                "{{\"Error\":{{\"message\":\"request line exceeds {MAX_LINE_BYTES} bytes\"}}}}\n"
-            );
-            writer.write_all(msg.as_bytes())?;
-            writer.flush()?;
-            return Ok(()); // disconnect the abusive client
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let metrics = server.metrics();
-        let mut span = Span::start();
-        // Execution and serialization are fused in `handle_encoded`
-        // (that fusion is what lets a warm encoded-memo hit skip both);
-        // the execute lap covers them, the encode lap is the memcpy.
-        let encoded = match serde_json::from_str::<Request>(line.trim_end()) {
-            Ok(request) => {
-                metrics.count_request(Transport::Json, &request);
-                server.handle_encoded(&request, ResponseEncoding::Json)
-            }
-            Err(e) => {
-                metrics.count_request_index(Transport::Json, crate::metrics::KIND_UNDECODABLE);
-                Arc::new(ResponseEncoding::Json.encode(&Response::Error {
-                    message: format!("bad request: {e}"),
-                }))
-            }
+        let n = match stream.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        span.lap(metrics.stage(Transport::Json, Stage::Execute));
-        writer.write_all(&encoded)?;
-        span.finish(metrics.stage(Transport::Json, Stage::Encode));
-        if reader.buffer().is_empty() {
-            writer.flush()?;
+        if n == 0 {
+            asm.push_eof();
+        } else {
+            asm.push(&buf[..n]);
+        }
+        let (bytes, close) = run_job(server, asm.take_items(), asm.packed());
+        stream.write_all(&bytes)?;
+        if close || n == 0 {
+            return Ok(());
         }
     }
 }
@@ -1510,6 +1346,7 @@ mod tests {
     use dpod_core::{grid::Ebp, Mechanism, PublishedRelease};
     use dpod_dp::Epsilon;
     use dpod_fmatrix::{DenseMatrix, Shape};
+    use std::io::{BufRead, BufReader, BufWriter};
 
     fn test_server(names: &[&str]) -> Arc<Server> {
         let catalog = Arc::new(Catalog::new());

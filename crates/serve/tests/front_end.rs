@@ -2,8 +2,11 @@
 //! readiness-driven serving core.
 //!
 //! * slow-loris clients (bytes trickling in one at a time) are served
-//!   correctly on both encodings — partial reads assemble, they never
-//!   pin a worker;
+//!   correctly on both encodings and both front ends — partial reads
+//!   assemble, and on the event loop they never pin a worker;
+//! * malformed streams (a truncated `DPRB` frame, a `DPRB` preamble on
+//!   a JSON-only endpoint) get byte-identical farewells from both front
+//!   ends, which share one protocol layer;
 //! * a pipelining client that stops draining responses trips write-side
 //!   backpressure and is *timed out*, while workers keep serving other
 //!   connections — no deadlock;
@@ -24,11 +27,11 @@ use dpod_dp::Epsilon;
 use dpod_fmatrix::{DenseMatrix, Shape};
 use dpod_serve::protocol::{Request, Response};
 use dpod_serve::{
-    spawn_with, wire, Catalog, FrontEnd, Server, ServerHandle, SpawnOptions,
+    spawn_with, wire, Catalog, FrontEnd, Server, ServerHandle, SpawnOptions, WireMode,
     WRITE_BACKPRESSURE_BYTES,
 };
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,91 +99,151 @@ fn json_round_trip(stream: &TcpStream, reader: &mut impl BufRead, req: &Request)
     serde_json::from_str(answer.trim()).unwrap()
 }
 
+/// Both front ends feed the same assembler, so both must be driven one
+/// byte at a time.
+const FRONT_ENDS: [FrontEnd; 2] = [FrontEnd::Event, FrontEnd::Pool];
+
 #[test]
 fn slow_loris_ndjson_client_is_served() {
-    let server = test_server(&["city"]);
-    let handle = spawn_front_end(&server, FrontEnd::Event, 2);
-    let stream = TcpStream::connect(handle.addr()).unwrap();
-    stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for front_end in FRONT_ENDS {
+        let server = test_server(&["city"]);
+        let handle = spawn_front_end(&server, front_end, 2);
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
 
-    let req = Request::Query {
-        release: "city".into(),
-        lo: vec![0, 0],
-        hi: vec![16, 16],
-    };
-    let mut line = serde_json::to_string(&req).unwrap();
-    line.push('\n');
-    // One byte per write, flushed, with pauses: the assembler must see
-    // dozens of partial reads and still produce exactly one request.
-    let mut writer = stream.try_clone().unwrap();
-    for b in line.as_bytes() {
-        writer.write_all(&[*b]).unwrap();
-        writer.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(1));
+        let req = Request::Query {
+            release: "city".into(),
+            lo: vec![0, 0],
+            hi: vec![16, 16],
+        };
+        let mut line = serde_json::to_string(&req).unwrap();
+        line.push('\n');
+        // One byte per write, flushed, with pauses: the assembler must
+        // see dozens of partial reads and still produce exactly one
+        // request.
+        let mut writer = stream.try_clone().unwrap();
+        for b in line.as_bytes() {
+            writer.write_all(&[*b]).unwrap();
+            writer.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        let Response::Value { value } = serde_json::from_str(answer.trim()).unwrap() else {
+            panic!("{front_end:?}: expected value, got {answer}");
+        };
+        // The connection is still healthy: a normal request follows.
+        let resp = json_round_trip(&stream, &mut reader, &req);
+        let Response::Value { value: again } = resp else {
+            panic!("{front_end:?}: second request failed");
+        };
+        assert_eq!(value, again, "{front_end:?}");
+        handle.stop();
     }
-    let mut answer = String::new();
-    reader.read_line(&mut answer).unwrap();
-    let Response::Value { value } = serde_json::from_str(answer.trim()).unwrap() else {
-        panic!("expected value, got {answer}");
-    };
-    // The connection is still healthy: a normal request follows.
-    let resp = json_round_trip(&stream, &mut reader, &req);
-    let Response::Value { value: again } = resp else {
-        panic!("second request failed");
-    };
-    assert_eq!(value, again);
-    handle.stop();
 }
 
 #[test]
 fn slow_loris_dprb_client_is_served() {
-    let server = test_server(&["city"]);
-    let handle = spawn_front_end(&server, FrontEnd::Event, 2);
-    let stream = TcpStream::connect(handle.addr()).unwrap();
-    stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    for front_end in FRONT_ENDS {
+        let server = test_server(&["city"]);
+        let handle = spawn_front_end(&server, front_end, 2);
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
 
-    // Preamble, length prefix, and frame body — every byte its own
-    // packet.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(wire::WIRE_MAGIC);
-    bytes.push(wire::WIRE_VERSION);
-    let body = wire::encode_request(&Request::Query {
-        release: "city".into(),
-        lo: vec![2, 2],
-        hi: vec![10, 10],
-    });
-    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&body);
-    for b in &bytes {
-        writer.write_all(&[*b]).unwrap();
-        writer.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(1));
+        // Preamble, length prefix, and frame body — every byte its own
+        // packet.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(wire::WIRE_MAGIC);
+        bytes.push(wire::WIRE_VERSION);
+        let body = wire::encode_request(&Request::Query {
+            release: "city".into(),
+            lo: vec![2, 2],
+            hi: vec![10, 10],
+        });
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        for b in &bytes {
+            writer.write_all(&[*b]).unwrap();
+            writer.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let frame = wire::read_frame(&mut reader).unwrap().unwrap();
+        let Response::Value { value } = wire::decode_response(&frame).unwrap() else {
+            panic!("{front_end:?}: expected value");
+        };
+        assert!(value.is_finite(), "{front_end:?}");
+        // A pipelined pair afterwards still answers in order.
+        let mut two = Vec::new();
+        wire::write_frame(&mut two, &body).unwrap();
+        wire::write_frame(&mut two, &wire::encode_request(&Request::List)).unwrap();
+        writer.write_all(&two).unwrap();
+        let first = wire::read_frame(&mut reader).unwrap().unwrap();
+        assert!(
+            matches!(wire::decode_response(&first), Ok(Response::Value { .. })),
+            "{front_end:?}"
+        );
+        let second = wire::read_frame(&mut reader).unwrap().unwrap();
+        assert!(
+            matches!(
+                wire::decode_response(&second),
+                Ok(Response::Releases { .. })
+            ),
+            "{front_end:?}"
+        );
+        handle.stop();
     }
-    let frame = wire::read_frame(&mut reader).unwrap().unwrap();
-    let Response::Value { value } = wire::decode_response(&frame).unwrap() else {
-        panic!("expected value");
-    };
-    assert!(value.is_finite());
-    // A pipelined pair afterwards still answers in order.
-    let mut two = Vec::new();
-    wire::write_frame(&mut two, &body).unwrap();
-    wire::write_frame(&mut two, &wire::encode_request(&Request::List)).unwrap();
-    writer.write_all(&two).unwrap();
-    let first = wire::read_frame(&mut reader).unwrap().unwrap();
-    assert!(matches!(
-        wire::decode_response(&first),
-        Ok(Response::Value { .. })
-    ));
-    let second = wire::read_frame(&mut reader).unwrap().unwrap();
-    assert!(matches!(
-        wire::decode_response(&second),
-        Ok(Response::Releases { .. })
-    ));
+}
+
+/// Sends `bytes` to a fresh `front_end` server restricted to `mode`,
+/// half-closes, and returns everything the server wrote back.
+fn answer_to(front_end: FrontEnd, mode: WireMode, bytes: &[u8]) -> Vec<u8> {
+    let server = test_server(&["city"]);
+    let handle = spawn_with(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        SpawnOptions {
+            workers: 2,
+            front_end: Some(front_end),
+            wire: mode,
+            ..SpawnOptions::default()
+        },
+    )
+    .expect("bind");
+    assert_eq!(handle.front_end(), front_end, "no fallback expected here");
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).unwrap();
     handle.stop();
+    out
+}
+
+/// Malformed streams get the same farewell bytes from both front ends.
+#[test]
+fn malformed_streams_get_identical_bytes_from_both_front_ends() {
+    let preamble = [wire::WIRE_MAGIC.as_slice(), &[wire::WIRE_VERSION]].concat();
+    // A frame declaring 10 body bytes, cut off after 3 by EOF.
+    let mut truncated = preamble.clone();
+    truncated.extend_from_slice(&10u32.to_le_bytes());
+    truncated.extend_from_slice(&[1, 2, 3]);
+    for (mode, bytes) in [(WireMode::Auto, truncated), (WireMode::Json, preamble)] {
+        let event = answer_to(FrontEnd::Event, mode, &bytes);
+        let pool = answer_to(FrontEnd::Pool, mode, &bytes);
+        assert!(!event.is_empty(), "{mode:?}: no farewell");
+        assert_eq!(
+            event,
+            pool,
+            "{mode:?}: event {:?} vs pool {:?}",
+            String::from_utf8_lossy(&event),
+            String::from_utf8_lossy(&pool)
+        );
+    }
 }
 
 #[test]
