@@ -79,3 +79,59 @@ proptest! {
         }
     }
 }
+
+/// A broken partition release is refused on load with the same text as
+/// ever, naming the same boxes: one case per validation failure, each
+/// also matching `Partitioning::validate`'s own error.
+#[test]
+fn into_sanitized_rejects_broken_partitionings_with_pinned_text() {
+    use dpod_core::ReleaseBody;
+    use dpod_partition::{Partitioning, UniformGrid};
+
+    let shape = Shape::new(vec![4, 6]).unwrap();
+    let grid: Vec<(Vec<usize>, Vec<usize>)> = UniformGrid::new(&shape, &[2, 3])
+        .unwrap()
+        .iter_boxes()
+        .map(|b| (b.lo().to_vec(), b.hi().to_vec()))
+        .collect();
+    let cases = [
+        ("boxes 1 and 4 overlap", 4, (vec![1, 2], vec![4, 4])),
+        (
+            "boxes cover 22 of 24 domain cells",
+            5,
+            (vec![2, 4], vec![4, 5]),
+        ),
+        ("box 2 does not fit the domain", 2, (vec![0, 4], vec![2, 7])),
+        (
+            "box 1 has wrong dimensionality",
+            1,
+            (vec![0, 2, 0], vec![2, 4, 1]),
+        ),
+    ];
+    for (text, victim, replacement) in cases {
+        let mut boxes = grid.clone();
+        boxes[victim] = replacement;
+        let release = PublishedRelease {
+            mechanism: "test".into(),
+            epsilon: 0.5,
+            domain: shape.dims().to_vec(),
+            body: ReleaseBody::Partitions {
+                counts: vec![1.0; boxes.len()],
+                boxes: boxes.clone(),
+            },
+        };
+        let err = release.into_sanitized().unwrap_err().to_string();
+        assert_eq!(
+            err,
+            format!("invalid mechanism input: invalid partitioning: {text}")
+        );
+        let axis_boxes = boxes
+            .into_iter()
+            .map(|(lo, hi)| AxisBox::new(lo, hi).unwrap())
+            .collect();
+        let direct = Partitioning::new_unchecked(shape.clone(), axis_boxes)
+            .validate()
+            .unwrap_err();
+        assert_eq!(direct.to_string(), text);
+    }
+}

@@ -197,34 +197,6 @@ impl AxisBox {
         }
         Ok(out)
     }
-
-    /// Iterates over the coordinates of every cell in the box in row-major
-    /// order. Intended for small boxes and tests; `O(volume)`.
-    pub fn iter_points(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
-        let mut next = if self.is_empty() {
-            None
-        } else {
-            Some(self.lo.clone())
-        };
-        std::iter::from_fn(move || {
-            let current = next.take()?;
-            let mut succ = current.clone();
-            let mut dim = self.ndim();
-            loop {
-                if dim == 0 {
-                    break;
-                }
-                dim -= 1;
-                succ[dim] += 1;
-                if succ[dim] < self.hi[dim] {
-                    next = Some(succ);
-                    break;
-                }
-                succ[dim] = self.lo[dim];
-            }
-            Some(current)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -310,14 +282,6 @@ mod tests {
         assert!(f.fits(&s));
         assert!(!b(&[0, 0], &[4, 7]).fits(&s));
         assert!(!b(&[0], &[4]).fits(&s));
-    }
-
-    #[test]
-    fn iter_points_row_major() {
-        let a = b(&[1, 2], &[3, 4]);
-        let pts: Vec<_> = a.iter_points().collect();
-        assert_eq!(pts, vec![vec![1, 2], vec![1, 3], vec![2, 2], vec![2, 3]]);
-        assert_eq!(b(&[0, 0], &[0, 5]).iter_points().count(), 0);
     }
 
     #[test]

@@ -159,34 +159,14 @@ impl<T: Element> DenseMatrix<T> {
     /// implementation used in tests and for small boxes.
     pub fn box_sum_naive(&self, b: &AxisBox) -> f64 {
         debug_assert!(b.fits(&self.shape), "box must fit the matrix domain");
-        if b.is_empty() {
-            return 0.0;
-        }
-        // Walk contiguous runs along the last dimension for cache efficiency.
-        let d = self.ndim();
-        let run = b.extent(d - 1);
-        let mut total = 0.0;
-        let mut prefix = b.lo().to_vec();
-        loop {
-            let start = self.shape.flat_index_unchecked(&prefix);
-            total += self.data[start..start + run]
-                .iter()
-                .map(|v| v.to_f64())
-                .sum::<f64>();
-            // Odometer over the leading d−1 dimensions.
-            let mut dim = d - 1;
-            loop {
-                if dim == 0 {
-                    return total;
-                }
-                dim -= 1;
-                prefix[dim] += 1;
-                if prefix[dim] < b.hi()[dim] {
-                    break;
-                }
-                prefix[dim] = b.lo()[dim];
-            }
-        }
+        BoxRuns::new(&self.shape, b)
+            .map(|(start, run)| {
+                self.data[start..start + run]
+                    .iter()
+                    .map(|v| v.to_f64())
+                    .sum::<f64>()
+            })
+            .fold(0.0, |total, run_sum| total + run_sum)
     }
 
     /// Iterates `(flat_index, value)` over the cells of `b` in row-major
@@ -208,8 +188,7 @@ impl<T: Element> DenseMatrix<T> {
     /// Fills every cell of `b` with `value`.
     pub fn fill_box(&mut self, b: &AxisBox, value: T) {
         debug_assert!(b.fits(&self.shape));
-        let runs: Vec<(usize, usize)> = BoxRuns::new(&self.shape, b).collect();
-        for (start, run) in runs {
+        for (start, run) in BoxRuns::new(&self.shape, b) {
             self.data[start..start + run].fill(value);
         }
     }
@@ -270,31 +249,50 @@ impl DenseMatrix<u64> {
     }
 }
 
-/// Iterator over `(start_flat_index, run_length)` for the contiguous
-/// last-dimension runs of a box. Shared by the dense scans above.
-struct BoxRuns<'a> {
+/// Iterator over the contiguous last-dimension runs of a box inside a
+/// row-major domain, as `(start_flat_index, run_length)` pairs in
+/// row-major order.
+///
+/// This is the one box walker of the crate: the dense scans
+/// ([`DenseMatrix::box_sum_naive`], [`DenseMatrix::box_values`],
+/// [`DenseMatrix::fill_box`]) and partition validation all visit a box
+/// run by run, so a box of volume `v` costs `v / run_length` odometer
+/// steps and no allocation beyond one coordinate buffer. An empty box
+/// yields no runs.
+///
+/// ```
+/// use dpod_fmatrix::{AxisBox, BoxRuns, Shape};
+/// let s = Shape::new(vec![3, 4]).unwrap();
+/// let b = AxisBox::new(vec![1, 1], vec![3, 3]).unwrap();
+/// let runs: Vec<_> = BoxRuns::new(&s, &b).collect();
+/// assert_eq!(runs, vec![(5, 2), (9, 2)]);
+/// ```
+#[derive(Debug)]
+pub struct BoxRuns<'a> {
     shape: &'a Shape,
     b: &'a AxisBox,
+    /// Coordinates of the next run's first cell; `None` once exhausted.
     prefix: Option<Vec<usize>>,
+    /// Flat index of the next run's first cell.
+    start: usize,
     run: usize,
 }
 
 impl<'a> BoxRuns<'a> {
-    fn new(shape: &'a Shape, b: &'a AxisBox) -> Self {
-        let run = if b.is_empty() {
-            0
+    /// Runs of `b`, which must fit `shape` (debug-asserted).
+    pub fn new(shape: &'a Shape, b: &'a AxisBox) -> Self {
+        debug_assert!(b.fits(shape), "box must fit the domain");
+        let (prefix, start, run) = if b.is_empty() {
+            (None, 0, 0)
         } else {
-            b.extent(shape.ndim() - 1)
-        };
-        let prefix = if b.is_empty() {
-            None
-        } else {
-            Some(b.lo().to_vec())
+            let start = shape.flat_index_unchecked(b.lo());
+            (Some(b.lo().to_vec()), start, b.extent(shape.ndim() - 1))
         };
         BoxRuns {
             shape,
             b,
             prefix,
+            start,
             run,
         }
     }
@@ -304,23 +302,28 @@ impl Iterator for BoxRuns<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let current = self.prefix.take()?;
-        let start = self.shape.flat_index_unchecked(&current);
-        let mut succ = current;
-        let mut dim = self.shape.ndim() - 1;
+        let coords = self.prefix.as_mut()?;
+        let item = (self.start, self.run);
+        // Odometer over the leading d−1 dimensions, moving the flat start
+        // by one stride per step.
+        let strides = self.shape.strides();
+        let (lo, hi) = (self.b.lo(), self.b.hi());
+        let mut dim = coords.len() - 1;
         loop {
             if dim == 0 {
+                self.prefix = None;
                 break;
             }
             dim -= 1;
-            succ[dim] += 1;
-            if succ[dim] < self.b.hi()[dim] {
-                self.prefix = Some(succ);
+            coords[dim] += 1;
+            self.start += strides[dim];
+            if coords[dim] < hi[dim] {
                 break;
             }
-            succ[dim] = self.b.lo()[dim];
+            self.start -= (hi[dim] - lo[dim]) * strides[dim];
+            coords[dim] = lo[dim];
         }
-        Some((start, self.run))
+        Some(item)
     }
 }
 
@@ -381,7 +384,11 @@ mod tests {
         let s = shape(&[2, 3, 2]);
         let m = DenseMatrix::<u64>::from_vec(s.clone(), (1..=12).collect::<Vec<u64>>()).unwrap();
         let b = AxisBox::new(vec![0, 1, 0], vec![2, 3, 2]).unwrap();
-        let expected: f64 = b.iter_points().map(|c| m.get(&c).unwrap() as f64).sum();
+        let expected: f64 = s
+            .iter_coords()
+            .filter(|c| b.contains(c))
+            .map(|c| m.get(&c).unwrap() as f64)
+            .sum();
         assert_eq!(m.box_sum_naive(&b), expected);
     }
 

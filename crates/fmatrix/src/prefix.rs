@@ -18,6 +18,11 @@ pub trait SatValue:
 impl SatValue for i128 {}
 impl SatValue for f64 {}
 
+/// Bytes up to which a block's passes run whole, one dimension after
+/// another; larger blocks are split along their leading dimension.
+/// Sized so that two sibling blocks stay in a core's L2 cache.
+const BLOCK_BYTES: usize = 256 * 1024;
+
 /// A `d`-dimensional summed-area table.
 ///
 /// Stores, for every cell `c`, the sum of all entries in `[0, c]`; any box
@@ -25,7 +30,17 @@ impl SatValue for f64 {}
 /// mechanism uses this to obtain partition totals in `O(2^d)` instead of
 /// `O(volume)`, and the query evaluator uses it for exact true answers.
 ///
-/// Build cost: `O(d · size)`; memory: one accumulator per cell.
+/// Build cost: `O(d · size)` additions in one cache-blocked sweep (see
+/// [`PrefixSum::build`]); memory: one accumulator per cell and no scratch
+/// beyond the table itself.
+///
+/// **Summation order.** The table is defined by one running-sum pass per
+/// dimension with extent > 1, in order `0 → d−1`; within a pass each cell
+/// becomes `acc + raw`, where `acc` is its already-updated predecessor
+/// along that dimension and `raw` its value after the earlier passes. The
+/// blocked build performs exactly these additions, in this order and with
+/// these operands, for every cell, so `f64` tables are bit-identical to a
+/// plain pass-by-pass sweep.
 ///
 /// ```
 /// use dpod_fmatrix::{AxisBox, DenseMatrix, PrefixSum, Shape};
@@ -42,33 +57,23 @@ pub struct PrefixSum<A> {
 
 impl<A: SatValue> PrefixSum<A> {
     /// Builds a table from any dense matrix via an element conversion.
+    ///
+    /// One cache-blocked sweep: while a block is larger than a cache
+    /// budget (256 KiB), the pass along its leading dimension streams
+    /// slab `k` as `slab[k−1] + slab[k]` (whole slices, which vectorize;
+    /// at the top level the conversion is fused into this pass), and slab
+    /// `k−1` — now final in that dimension — is finished recursively
+    /// before the sweep moves on. Blocks within the budget run their
+    /// remaining passes in cache. Every element sees the passes in order
+    /// `0 → d−1`, as the type-level contract requires; scratch memory is
+    /// zero.
     pub fn build<T: Element>(matrix: &DenseMatrix<T>, conv: impl Fn(T) -> A) -> Self {
         let shape = matrix.shape().clone();
-        let mut table: Vec<A> = matrix.as_slice().iter().map(|&v| conv(v)).collect();
-        // One running-sum pass per dimension turns raw values into the SAT.
-        let size = shape.size();
-        for dim in 0..shape.ndim() {
-            let stride = shape.strides()[dim];
-            let extent = shape.dim(dim);
-            if extent == 1 {
-                continue;
-            }
-            // Walk all lines along `dim`: indices i where coordinate(dim) == 0.
-            let block = stride * extent;
-            let mut base = 0;
-            while base < size {
-                for off in 0..stride {
-                    let mut idx = base + off;
-                    let mut acc = table[idx];
-                    for _ in 1..extent {
-                        idx += stride;
-                        acc = acc + table[idx];
-                        table[idx] = acc;
-                    }
-                }
-                base += block;
-            }
-        }
+        let mut table = vec![A::default(); shape.size()];
+        // An extent-1 dimension has no pass and leaves the layout of the
+        // others unchanged, so the sweep only sees the rest.
+        let dims: Vec<usize> = shape.dims().iter().copied().filter(|&e| e > 1).collect();
+        sweep_converting(&mut table, matrix.as_slice(), &conv, &dims);
         PrefixSum { shape, table }
     }
 
@@ -76,6 +81,13 @@ impl<A: SatValue> PrefixSum<A> {
     #[inline]
     pub fn shape(&self) -> &Shape {
         &self.shape
+    }
+
+    /// The table in row-major order: entry `c` holds the sum over the
+    /// box `[0, c]` (inclusive).
+    #[inline]
+    pub fn as_slice(&self) -> &[A] {
+        &self.table
     }
 
     /// Sum of all entries with coordinates `≤ coords` component-wise
@@ -122,6 +134,90 @@ impl<A: SatValue> PrefixSum<A> {
             total = if sign_negative { total - v } else { total + v };
         }
         total
+    }
+}
+
+/// `true` when a block of `len` values is split rather than swept whole.
+fn splits<A>(len: usize) -> bool {
+    len * std::mem::size_of::<A>() > BLOCK_BYTES
+}
+
+/// `cur[j] = prev[j] + cur[j]`: one pass step between two adjacent slabs.
+#[inline]
+fn add_slab<A: SatValue>(prev: &[A], cur: &mut [A]) {
+    for (c, &p) in cur.iter_mut().zip(prev) {
+        *c = p + *c;
+    }
+}
+
+/// Writes the summed-area table of `raw` (row-major, extents `dims`)
+/// into `t`, converting each value on the way in.
+fn sweep_converting<T: Copy, A: SatValue>(
+    t: &mut [A],
+    raw: &[T],
+    conv: &impl Fn(T) -> A,
+    dims: &[usize],
+) {
+    match dims.split_first() {
+        Some((&extent, inner)) if !inner.is_empty() && splits::<A>(t.len()) => {
+            let slab = t.len() / extent;
+            for (dst, &src) in t[..slab].iter_mut().zip(&raw[..slab]) {
+                *dst = conv(src);
+            }
+            for k in 1..extent {
+                let (done, rest) = t.split_at_mut(k * slab);
+                let prev = &mut done[(k - 1) * slab..];
+                let src = &raw[k * slab..(k + 1) * slab];
+                for ((c, &p), &r) in rest[..slab].iter_mut().zip(&*prev).zip(src) {
+                    *c = p + conv(r);
+                }
+                sweep(prev, inner);
+            }
+            sweep(&mut t[(extent - 1) * slab..], inner);
+        }
+        _ => {
+            for (dst, &src) in t.iter_mut().zip(raw) {
+                *dst = conv(src);
+            }
+            sweep(t, dims);
+        }
+    }
+}
+
+/// Runs the passes for `dims` (outermost first) over the row-major block
+/// `t` in place.
+fn sweep<A: SatValue>(t: &mut [A], dims: &[usize]) {
+    let Some((&extent, inner)) = dims.split_first() else {
+        return;
+    };
+    if !inner.is_empty() && splits::<A>(t.len()) {
+        let slab = t.len() / extent;
+        for k in 1..extent {
+            let (done, rest) = t.split_at_mut(k * slab);
+            let prev = &mut done[(k - 1) * slab..];
+            add_slab(prev, &mut rest[..slab]);
+            sweep(prev, inner);
+        }
+        sweep(&mut t[(extent - 1) * slab..], inner);
+        return;
+    }
+    // In cache: whole passes, one dimension after another.
+    let mut stride = t.len();
+    for &extent in dims {
+        stride /= extent;
+        for block in t.chunks_exact_mut(stride * extent) {
+            if stride == 1 {
+                for k in 1..extent {
+                    block[k] = block[k - 1] + block[k];
+                }
+            } else {
+                for k in 1..extent {
+                    let (prev, cur) =
+                        block[(k - 1) * stride..(k + 1) * stride].split_at_mut(stride);
+                    add_slab(prev, cur);
+                }
+            }
+        }
     }
 }
 

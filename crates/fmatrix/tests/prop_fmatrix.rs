@@ -30,6 +30,114 @@ fn arb_box_in(shape: &Shape) -> impl Strategy<Value = AxisBox> {
         })
 }
 
+/// The summed-area table as the strided pass-by-pass loop builds it:
+/// for each dimension in order, a running sum along every line of that
+/// dimension, `acc + raw` at each step. The blocked build must
+/// reproduce it exactly (it is kept here as the oracle only).
+fn strided_prefix<A: Copy + std::ops::Add<Output = A>>(shape: &Shape, mut table: Vec<A>) -> Vec<A> {
+    let size = shape.size();
+    for dim in 0..shape.ndim() {
+        let stride = shape.strides()[dim];
+        let extent = shape.dim(dim);
+        if extent == 1 {
+            continue;
+        }
+        let block = stride * extent;
+        let mut base = 0;
+        while base < size {
+            for off in 0..stride {
+                let mut idx = base + off;
+                let mut acc = table[idx];
+                for _ in 1..extent {
+                    idx += stride;
+                    acc = acc + table[idx];
+                    table[idx] = acc;
+                }
+            }
+            base += block;
+        }
+    }
+    table
+}
+
+/// Strategy: 1–7 dims with frequent extent-1 axes, sized on both sides
+/// of the prefix build's cache-block cutoff (256 KiB: 32 768 `f64` or
+/// 16 384 `i128` cells) — small shapes up to 4⁷ cells, large ones from
+/// 16 385 to 400 000 (so blocks split again below the top level).
+fn arb_blocking_shape() -> impl Strategy<Value = Shape> {
+    (
+        any::<bool>(),
+        prop::collection::vec(1usize..=4, 1..=7),
+        prop::collection::vec(1usize..=16, 1..=7).prop_filter("16k < size <= 400k", |d| {
+            (16_385..=400_000).contains(&d.iter().product::<usize>())
+        }),
+    )
+        .prop_map(|(large, small_dims, large_dims)| {
+            Shape::new(if large { large_dims } else { small_dims }).unwrap()
+        })
+}
+
+/// Mixed-sign values spanning 24 decimal orders of magnitude (with the
+/// odd signed zero), so any change in summation order changes bits.
+fn mixed_values(size: usize, seed: u64) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..size)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mantissa = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let exponent = (x % 25) as i32 - 12;
+            match x % 97 {
+                0 => 0.0,
+                1 => -0.0,
+                _ if x & (1 << 7) == 0 => mantissa * 10f64.powi(exponent),
+                _ => -mantissa * 10f64.powi(exponent),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The blocked `f64` table is bit-identical to the strided oracle on
+    /// every cell.
+    #[test]
+    fn blocked_f64_table_is_bit_identical_to_strided(
+        shape in arb_blocking_shape(),
+        seed in any::<u64>(),
+    ) {
+        let values = mixed_values(shape.size(), seed);
+        let m = DenseMatrix::from_vec(shape.clone(), values.clone()).unwrap();
+        let blocked = PrefixSum::from_f64(&m);
+        let oracle = strided_prefix(&shape, values);
+        for (i, (got, want)) in blocked.as_slice().iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?}: cell {} is {} (oracle {})", shape.dims(), i, got, want
+            );
+        }
+    }
+
+    /// The blocked `i128` count table equals the strided oracle.
+    #[test]
+    fn blocked_count_table_matches_strided(
+        shape in arb_blocking_shape(),
+        seed in any::<u64>(),
+    ) {
+        let counts: Vec<u64> = mixed_values(shape.size(), seed)
+            .iter()
+            .map(|v| (v.abs() * 1e9) as u64)
+            .collect();
+        let m = DenseMatrix::from_vec(shape.clone(), counts.clone()).unwrap();
+        let blocked = PrefixSum::from_counts(&m);
+        let oracle = strided_prefix(&shape, counts.iter().map(|&c| c as i128).collect());
+        prop_assert!(blocked.as_slice() == oracle.as_slice(), "{:?}", shape.dims());
+    }
+}
+
 proptest! {
     /// Prefix sums agree with naive box sums on arbitrary matrices and boxes.
     #[test]

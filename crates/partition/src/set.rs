@@ -1,5 +1,5 @@
 use crate::UniformGrid;
-use dpod_fmatrix::{AxisBox, DenseMatrix, Shape};
+use dpod_fmatrix::{AxisBox, BoxRuns, Shape};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -134,15 +134,24 @@ impl Partitioning {
     /// Checks that the boxes are pairwise disjoint and exactly cover the
     /// domain.
     ///
-    /// Cost: `O(size)` via a coverage bitmap (each cell must be hit exactly
-    /// once), which simultaneously proves disjointness and coverage without
-    /// the `O(n²)` pairwise test.
+    /// Cost: `O(size / 64 + runs)` via a coverage bitset of `size / 8`
+    /// bytes (one bit per cell — 2 MiB for a 16⁶ domain). Each box is
+    /// walked by its contiguous last-dimension runs ([`BoxRuns`]), and a
+    /// run tests and sets its bits a 64-bit word at a time. Every cell
+    /// must be hit exactly once, which proves disjointness and coverage
+    /// together without the `O(n²)` pairwise test.
+    ///
+    /// Boxes are checked in order, each for dimensionality, then domain
+    /// fit, then overlap with the boxes before it; coverage is checked
+    /// last.
     ///
     /// # Errors
-    /// The first violation found, as a [`ValidationError`].
+    /// The first violation found, as a [`ValidationError`]. For an overlap,
+    /// `second` is the box being walked and `first` the lowest-indexed box
+    /// containing its first already-covered cell in row-major order.
     pub fn validate(&self) -> Result<(), ValidationError> {
         let size = self.domain.size();
-        let mut hits: DenseMatrix<u32> = DenseMatrix::zeros(self.domain.clone());
+        let mut hits = vec![0u64; size.div_ceil(64)];
         let mut covered = 0usize;
         for (i, b) in self.boxes.iter().enumerate() {
             if b.ndim() != self.domain.ndim() {
@@ -151,10 +160,10 @@ impl Partitioning {
             if !b.fits(&self.domain) {
                 return Err(ValidationError::OutOfDomain { index: i });
             }
-            for c in b.iter_points() {
-                let idx = self.domain.flat_index_unchecked(&c);
-                if hits.get_flat(idx) != 0 {
+            for (start, run) in BoxRuns::new(&self.domain, b) {
+                if let Some(idx) = mark_run(&mut hits, start, run) {
                     // Identify the previous owner for the error message.
+                    let c = self.domain.coords(idx);
                     let first = self
                         .boxes
                         .iter()
@@ -162,8 +171,7 @@ impl Partitioning {
                         .unwrap_or(0);
                     return Err(ValidationError::Overlap { first, second: i });
                 }
-                hits.set_flat(idx, 1);
-                covered += 1;
+                covered += run;
             }
         }
         if covered != size {
@@ -180,6 +188,27 @@ impl Partitioning {
     pub fn find(&self, coords: &[usize]) -> Option<usize> {
         self.boxes.iter().position(|b| b.contains(coords))
     }
+}
+
+/// Sets bits `[start, start + len)` of `bits`, one word at a time.
+/// Returns the lowest bit of the range that was already set, if any; the
+/// bitset is then left partly updated (validation stops there).
+fn mark_run(bits: &mut [u64], start: usize, len: usize) -> Option<usize> {
+    let end = start + len;
+    let mut pos = start;
+    while pos < end {
+        let word = pos / 64;
+        let lo = pos % 64;
+        let hi = (end - word * 64).min(64);
+        let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+        let clash = bits[word] & mask;
+        if clash != 0 {
+            return Some(word * 64 + clash.trailing_zeros() as usize);
+        }
+        bits[word] |= mask;
+        pos = word * 64 + hi;
+    }
+    None
 }
 
 #[cfg(test)]

@@ -411,6 +411,12 @@ pub(crate) fn render_metrics(server: &Server) -> String {
         engine.index_build_nanos.to_string(),
     );
     gauge(
+        "dpod_engine_rebuild_nanoseconds_total",
+        "Cumulative nanoseconds spent rebuilding releases on cache misses",
+        "counter",
+        server.engine_rebuild_nanos().to_string(),
+    );
+    gauge(
         "dpod_server_queries_total",
         "Range queries answered since start",
         "counter",

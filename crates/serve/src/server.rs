@@ -759,6 +759,12 @@ impl Server {
         self.engine.stats()
     }
 
+    /// Cumulative nanoseconds the engine spent on cold rebuilds — what
+    /// `/metrics` exports as `dpod_engine_rebuild_nanoseconds_total`.
+    pub fn engine_rebuild_nanos(&self) -> u64 {
+        self.engine.rebuild_nanos()
+    }
+
     /// Warm pyramid-level hits by level, ascending (evicted indexes
     /// included) — what the `/metrics` per-level counter rows export.
     pub fn pyramid_level_hits(&self) -> Vec<(u32, u64)> {

@@ -42,6 +42,14 @@ fn scrape(addr: std::net::SocketAddr) -> String {
     body.to_string()
 }
 
+/// The `dpod_engine_rebuild_nanoseconds_total` sample of a scrape.
+fn rebuild_nanos(body: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix("dpod_engine_rebuild_nanoseconds_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("rebuild counter present")
+}
+
 fn drive_traffic(addr: std::net::SocketAddr) {
     // A few NDJSON requests…
     let stream = TcpStream::connect(addr).unwrap();
@@ -144,9 +152,24 @@ fn exposition_covers_served_traffic(front_end: FrontEnd) {
     assert_eq!(handle.front_end(), front_end);
     let exporter = spawn_metrics_exporter(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
+    // The cold-rebuild counter starts at zero, rises with the first
+    // (cold) plan, and stays put while the warm traffic below is served.
+    assert_eq!(rebuild_nanos(&scrape(exporter.addr())), 0);
+    let mut client = wire::Client::connect(handle.addr()).unwrap();
+    client
+        .send(&Request::Plan {
+            release: "city".into(),
+            plan: dpod_query::QueryPlan::Total,
+        })
+        .unwrap();
+    assert!(matches!(client.receive().unwrap(), Response::Answer { .. }));
+    let cold = rebuild_nanos(&scrape(exporter.addr()));
+    assert!(cold > 0, "a cold plan must be timed as a rebuild");
+
     drive_traffic(handle.addr());
     let body = scrape(exporter.addr());
     assert_key_series(&body, front_end);
+    assert_eq!(rebuild_nanos(&body), cold, "warm traffic rebuilds nothing");
 
     // The stats frame reports the same stage histograms.
     let mut client = wire::Client::connect(handle.addr()).unwrap();

@@ -171,7 +171,9 @@ fn ndjson_round_trip(
 #[test]
 fn packed_and_unpacked_transports_answer_identically_256_cases() {
     let server = seeded_server();
-    let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 2).unwrap();
+    // One worker per connection (three below): the pool front end
+    // serves a connection per worker, so fewer would starve one.
+    let handle = spawn(Arc::clone(&server), "127.0.0.1:0", 3).unwrap();
     let addr = handle.addr();
 
     let stream = TcpStream::connect(addr).unwrap();
