@@ -1,23 +1,36 @@
-//! The query engine: memoized analyst-side rebuilds and plan indexes.
+//! The query engine: one artifact cache over rebuilt releases.
 //!
 //! A `PublishedRelease` is cheap to store but must be rebuilt into a
 //! [`SanitizedMatrix`] — dense estimate plus prefix-sum table — before it
 //! can answer `O(2^d)` range queries. The rebuild is `O(domain size)` and
-//! the table doubles the memory, so the engine memoizes rebuilds per
+//! the table doubles the memory, so the engine caches rebuilds per
 //! `(name, version)` under an LRU byte budget: hot releases answer from
 //! cache, cold ones pay one rebuild, and a republish (new version) never
 //! serves stale answers because the version is part of the key.
 //!
-//! Beside each rebuilt matrix the engine keeps a second, lazily-filled
-//! slot: the release's [`ReleaseIndex`] — memoized marginal tables,
-//! descending cell order and cached total — which turns aggregate plans
-//! (marginal, top-k, total) from full rescans into table lookups. Both
-//! slots share one byte budget and one LRU clock, and both are
-//! invalidated together: a republish or removal that drops the matrix
-//! drops its index with it, so a stale `(name, old_version)` index can
-//! never answer. Index bytes grow as aggregates are first touched, so
-//! the ledger is recomputed from the live entries whenever the budget is
-//! enforced rather than trusted from insert time.
+//! Everything else the engine memoizes is derived from that rebuild and
+//! rides its entry, keyed by kind: the release's [`ReleaseIndex`]
+//! (marginal tables, cell order, pyramid levels), one epoch's answer to
+//! a window's inner plan (a *partial*), and the final wire bytes of a
+//! plan response per encoding. By post-processing invariance each costs
+//! zero ε and is valid exactly while its `(name, version)` is current,
+//! so every kind — the matrix included — goes through one get-or-build
+//! with one currency rule: build outside the lock, then cache only if,
+//! under the lock, the caller's currency check still holds and the
+//! resident entry still wraps the matrix the artifact was derived from.
+//! A racing winner is kept; a loser is served to its caller uncached. A
+//! republish or removal that drops the matrix drops every artifact with
+//! it, so a stale version can never answer.
+//!
+//! All kinds share one byte ledger and one LRU clock. Index bytes grow
+//! lazily after insertion, so an insert recomputes the ledger from the
+//! live entries while a warm hit re-charges only the entry it touched.
+//! Over budget, whole entries are evicted least-recently-used first,
+//! never the one being served — a lone release larger than the budget
+//! stays cached rather than rebuilt per query. That entry's memoized
+//! answers are bounded all the same: while they alone exceed the
+//! budget, the least-recently-used ones go (never the matrix, the index
+//! or the answer just served).
 //!
 //! What a cold rebuild costs: `PublishedRelease::into_sanitized`
 //! validates the partition boxes (one coverage bit per cell, walked by
@@ -32,9 +45,9 @@ use dpod_core::SanitizedMatrix;
 use dpod_query::{Answer, ReleaseIndex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A memoizing rebuild + index cache with a shared LRU byte budget.
+/// A memoizing rebuild + artifact cache with a shared LRU byte budget.
 #[derive(Debug)]
 pub struct QueryEngine {
     byte_budget: usize,
@@ -42,57 +55,142 @@ pub struct QueryEngine {
     /// [`ReleaseIndex`] it builds.
     index_marginal_cap: usize,
     state: Mutex<LruState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Lifetime (hits, misses), indexed by [`ArtifactKey::kind`].
+    counters: [(AtomicU64, AtomicU64); 4],
     /// Wall-clock nanoseconds spent in cold rebuilds (failed ones too).
     rebuild_nanos: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-    partial_hits: AtomicU64,
-    partial_misses: AtomicU64,
-    encoded_hits: AtomicU64,
-    encoded_misses: AtomicU64,
-    /// Build time of indexes that have since been evicted; live
-    /// indexes' [`ReleaseIndex::build_nanos`] are summed on demand.
-    retired_index_nanos: AtomicU64,
-    /// Pyramid hit/miss counts of evicted indexes (live indexes' own
-    /// counters are summed on demand, as for build time).
-    retired_pyramid_hits: AtomicU64,
-    retired_pyramid_misses: AtomicU64,
-    /// Per-level pyramid hits of evicted indexes.
-    retired_pyramid_level_hits: Mutex<HashMap<u32, u64>>,
 }
+
+/// A cache entry's key: release name and catalog version.
+type EntryId = (String, u64);
 
 #[derive(Debug, Default)]
 struct LruState {
-    map: HashMap<(String, u64), Cached>,
+    map: HashMap<EntryId, Cached>,
     tick: u64,
     bytes: usize,
+    /// What the indexes removed so far had accrued, so the lifetime
+    /// index counters survive eviction.
+    retired: IndexTotals,
+}
+
+impl LruState {
+    /// Removes an entry, reclaiming what it was charged to the ledger
+    /// and retiring its index's counters.
+    fn remove(&mut self, id: &EntryId) -> Option<Cached> {
+        let cached = self.map.remove(id)?;
+        self.bytes = self.bytes.saturating_sub(cached.charged);
+        if let Some(ix) = &cached.index {
+            self.retired.add(ix);
+        }
+        Some(cached)
+    }
+
+    /// Removes every entry `select` picks, returning the bytes they held.
+    fn remove_where(&mut self, select: impl Fn(&EntryId) -> bool) -> usize {
+        let victims: Vec<EntryId> = self.map.keys().filter(|id| select(id)).cloned().collect();
+        victims
+            .iter()
+            .filter_map(|id| self.remove(id))
+            .map(|c| c.bytes())
+            .sum()
+    }
+
+    /// Lifetime index counters: the retired ones plus the live indexes'.
+    fn index_totals(&self) -> IndexTotals {
+        let mut totals = self.retired.clone();
+        for ix in self.map.values().filter_map(|c| c.index.as_ref()) {
+            totals.add(ix);
+        }
+        totals
+    }
+}
+
+/// Counters a [`ReleaseIndex`] accrues over its life.
+#[derive(Debug, Default, Clone)]
+struct IndexTotals {
+    build_nanos: u64,
+    pyramid_hits: u64,
+    pyramid_misses: u64,
+    pyramid_level_hits: HashMap<u32, u64>,
+}
+
+impl IndexTotals {
+    fn add(&mut self, ix: &ReleaseIndex) {
+        self.build_nanos += ix.build_nanos();
+        self.pyramid_hits += ix.pyramid_hits();
+        self.pyramid_misses += ix.pyramid_misses();
+        for (level, n) in ix.pyramid_level_hits() {
+            *self.pyramid_level_hits.entry(level).or_insert(0) += n;
+        }
+    }
+}
+
+/// What the engine memoizes for one release, by kind.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ArtifactKey {
+    /// The rebuild itself: the entry's anchor.
+    Matrix,
+    /// The prepared plan index, in [`Cached::index`].
+    Index,
+    /// One epoch's answer to a window's inner plan, by canonical plan key.
+    Partial(String),
+    /// A plan response's wire bytes, by encoding and canonical plan key.
+    Encoded(u8, String),
+}
+
+const MATRIX: usize = 0;
+const INDEX: usize = 1;
+const PARTIAL: usize = 2;
+const ENCODED: usize = 3;
+
+impl ArtifactKey {
+    /// Which hit/miss counter pair this kind bumps.
+    fn kind(&self) -> usize {
+        match self {
+            ArtifactKey::Matrix => MATRIX,
+            ArtifactKey::Index => INDEX,
+            ArtifactKey::Partial(_) => PARTIAL,
+            ArtifactKey::Encoded(..) => ENCODED,
+        }
+    }
+}
+
+/// A memoized artifact; the variant always matches its key's kind.
+#[derive(Debug, Clone)]
+enum Artifact {
+    Matrix(Arc<SanitizedMatrix>),
+    Index(Arc<ReleaseIndex>),
+    Partial(Answer),
+    /// The exact on-socket bytes and the query units the answer counts
+    /// for (so warm hits bump the same accounting a cold execution would).
+    Encoded(Arc<Vec<u8>>, u64),
+}
+
+/// One memoized answer in [`Cached::memos`].
+#[derive(Debug)]
+struct Slot {
+    artifact: Artifact,
+    /// Fixed bytes charged for it.
+    bytes: usize,
+    last_used: u64,
 }
 
 #[derive(Debug)]
 struct Cached {
     matrix: Arc<SanitizedMatrix>,
     matrix_bytes: usize,
-    /// The release's prepared plan index, attached on first aggregate
-    /// query. Lives and dies with the matrix entry.
+    /// Everything derived from `matrix` rides its `(name, version)`
+    /// entry, which gives version-keyed invalidation for free:
+    /// republishing one epoch drops only that epoch's artifacts. The
+    /// index is sized live, so the ledger refresh reads it for every
+    /// entry; it sits in a field rather than behind a map probe.
     index: Option<Arc<ReleaseIndex>>,
-    /// Memoized per-epoch plan partials for window queries: canonical
-    /// plan key → the finished answer and its estimated bytes. Riding
-    /// on the `(name, version)` entry gives version-keyed invalidation
-    /// for free — republishing one epoch drops only that epoch's
-    /// partials, every other epoch's stay warm.
-    partials: HashMap<String, (Answer, usize)>,
-    /// Running byte total of `partials` (so [`Cached::bytes`] stays
-    /// O(1) under the ledger refresh).
-    partials_bytes: usize,
-    /// Memoized final wire bytes per `(encoding, plan key)`: a warm hit
-    /// skips plan execution *and* encoding — the worker memcpys the
-    /// bytes to the socket. Rides the `(name, version)` entry exactly
-    /// like `partials`, so republish invalidation is free.
-    encoded: HashMap<(u8, String), EncodedEntry>,
-    /// Running byte total of `encoded` (as `partials_bytes`).
-    encoded_bytes: usize,
+    /// Memoized answers: window partials and encoded responses.
+    memos: HashMap<ArtifactKey, Slot>,
+    /// Running total of the memos' fixed bytes (so [`Cached::bytes`]
+    /// stays O(1) under the ledger refresh).
+    memo_bytes: usize,
     /// What this entry currently contributes to `LruState::bytes`. Kept
     /// beside the live size so a warm touch can apply an O(1) delta
     /// (index bytes only grow) instead of rescanning every entry.
@@ -100,23 +198,51 @@ struct Cached {
     last_used: u64,
 }
 
-/// One memoized encoded response: the exact on-socket bytes and the
-/// query units the answer counts for (so warm hits bump the same
-/// accounting a cold execution would).
-#[derive(Debug)]
-struct EncodedEntry {
-    bytes: Arc<Vec<u8>>,
-    units: u64,
-}
-
 impl Cached {
     /// Current resident bytes: the rebuild plus whatever the index and
-    /// plan partials have memoized so far (both grow after insertion).
+    /// the memoized answers hold so far (both grow after insertion).
     fn bytes(&self) -> usize {
         self.matrix_bytes
             + self.index.as_ref().map_or(0, |ix| ix.resident_bytes())
-            + self.partials_bytes
-            + self.encoded_bytes
+            + self.memo_bytes
+    }
+
+    /// Re-charges the entry to its live size, returning its old charge.
+    fn recharge(&mut self) -> usize {
+        let now = self.bytes();
+        std::mem::replace(&mut self.charged, now)
+    }
+
+    /// The artifact under `key`, marking it (and the entry) used at `tick`.
+    fn touch(&mut self, key: &ArtifactKey, tick: u64) -> Option<Artifact> {
+        let found = match key {
+            ArtifactKey::Matrix => Artifact::Matrix(Arc::clone(&self.matrix)),
+            ArtifactKey::Index => Artifact::Index(Arc::clone(self.index.as_ref()?)),
+            _ => {
+                let slot = self.memos.get_mut(key)?;
+                slot.last_used = tick;
+                slot.artifact.clone()
+            }
+        };
+        self.last_used = tick;
+        Some(found)
+    }
+
+    /// Drops least-recently-used memoized answers (never `keep`) until
+    /// they fit in `budget`.
+    fn trim_memos(&mut self, budget: usize, keep: &ArtifactKey) {
+        while self.memo_bytes > budget {
+            let victim = self
+                .memos
+                .iter()
+                .filter(|(k, _)| *k != keep)
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(k, _)| k.clone());
+            let Some(slot) = victim.and_then(|k| self.memos.remove(&k)) else {
+                break;
+            };
+            self.memo_bytes -= slot.bytes;
+        }
     }
 }
 
@@ -225,19 +351,8 @@ impl QueryEngine {
             byte_budget,
             index_marginal_cap,
             state: Mutex::new(LruState::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            counters: Default::default(),
             rebuild_nanos: AtomicU64::new(0),
-            index_hits: AtomicU64::new(0),
-            index_misses: AtomicU64::new(0),
-            partial_hits: AtomicU64::new(0),
-            partial_misses: AtomicU64::new(0),
-            encoded_hits: AtomicU64::new(0),
-            encoded_misses: AtomicU64::new(0),
-            retired_index_nanos: AtomicU64::new(0),
-            retired_pyramid_hits: AtomicU64::new(0),
-            retired_pyramid_misses: AtomicU64::new(0),
-            retired_pyramid_level_hits: Mutex::new(HashMap::new()),
         }
     }
 
@@ -246,37 +361,19 @@ impl QueryEngine {
         self.byte_budget
     }
 
-    /// Sums an evicted entry's accrued index-build time and pyramid
-    /// counters into the lifetime accumulators before the index drops.
-    fn retire(&self, cached: &Cached) {
-        if let Some(ix) = &cached.index {
-            self.retired_index_nanos
-                .fetch_add(ix.build_nanos(), Ordering::Relaxed);
-            self.retired_pyramid_hits
-                .fetch_add(ix.pyramid_hits(), Ordering::Relaxed);
-            self.retired_pyramid_misses
-                .fetch_add(ix.pyramid_misses(), Ordering::Relaxed);
-            let level_hits = ix.pyramid_level_hits();
-            if !level_hits.is_empty() {
-                let mut retired = self
-                    .retired_pyramid_level_hits
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                for (level, n) in level_hits {
-                    *retired.entry(level).or_insert(0) += n;
-                }
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, LruState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Recomputes the byte ledger from the live entries (re-charging
     /// each). Index bytes grow after insertion (memoization is lazy),
-    /// so the ledger is refreshed at every insert/evict point; warm
-    /// touches use an O(1) per-entry delta instead.
+    /// so the ledger is refreshed at every insert and stats read;
+    /// removals take off their own charge and warm touches apply an
+    /// O(1) per-entry delta instead.
     fn refresh_bytes(state: &mut LruState) {
         let mut total = 0usize;
         for cached in state.map.values_mut() {
-            cached.charged = cached.bytes();
+            cached.recharge();
             total += cached.charged;
         }
         state.bytes = total;
@@ -284,25 +381,129 @@ impl QueryEngine {
 
     /// Evicts least-recently-used entries (never `keep`) until the
     /// budget holds, reclaiming exactly what each victim had been
-    /// charged to the ledger.
-    fn enforce_budget(&self, state: &mut LruState, keep: &(String, u64)) {
-        while state.bytes > self.byte_budget && state.map.len() > 1 {
+    /// charged to the ledger. If `keep` is then alone and still over,
+    /// its memoized answers are trimmed to the budget (never `fresh`,
+    /// the artifact being served): an oversized lone release stays
+    /// cached, but the answers riding it cannot grow without bound.
+    fn enforce_budget(&self, state: &mut LruState, keep: &EntryId, fresh: &ArtifactKey) {
+        while state.bytes > self.byte_budget {
             let victim = state
                 .map
                 .iter()
                 .filter(|(k, _)| *k != keep)
                 .min_by_key(|(_, c)| c.last_used)
                 .map(|(k, _)| k.clone());
-            match victim {
-                Some(v) => {
-                    if let Some(evicted) = state.map.remove(&v) {
-                        self.retire(&evicted);
-                        state.bytes = state.bytes.saturating_sub(evicted.charged);
-                    }
-                }
-                None => break,
+            if victim.and_then(|v| state.remove(&v)).is_none() {
+                break;
             }
         }
+        if state.bytes > self.byte_budget {
+            if let Some(cached) = state.map.get_mut(keep) {
+                cached.trim_memos(self.byte_budget, fresh);
+                state.bytes = state.bytes - cached.recharge() + cached.charged;
+            }
+        }
+    }
+
+    /// The one lookup path, for every kind of artifact.
+    ///
+    /// Warm: one lock, one lookup, and an O(1) re-charge of the entry
+    /// (its index may have grown since it was last charged; only then
+    /// is the budget re-enforced). Cold: `build` runs outside the lock
+    /// and returns the artifact, the matrix it was derived from, and the
+    /// fixed bytes to charge for it. The result is cached only if, under
+    /// the lock, `still_current` holds and the resident entry wraps that
+    /// same matrix — a `Matrix` build creates the entry instead, unless
+    /// a newer version of the name is already cached. A racing winner
+    /// already cached is served in its place; anything else is served to
+    /// the caller uncached.
+    fn get_or_build(
+        &self,
+        entry: &CatalogEntry,
+        key: ArtifactKey,
+        still_current: &dyn Fn() -> bool,
+        build: impl FnOnce() -> Result<(Arc<SanitizedMatrix>, Artifact, usize), ServeError>,
+    ) -> Result<Artifact, ServeError> {
+        let id = (entry.name.clone(), entry.version);
+        let (hits, misses) = &self.counters[key.kind()];
+        {
+            let mut state = self.lock();
+            state.tick += 1;
+            let tick = state.tick;
+            if let Some(cached) = state.map.get_mut(&id) {
+                if let Some(hit) = cached.touch(&key, tick) {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    let old = cached.recharge();
+                    let grown = cached.charged.saturating_sub(old);
+                    if grown > 0 {
+                        state.bytes += grown;
+                        self.enforce_budget(&mut state, &id, &key);
+                    }
+                    return Ok(hit);
+                }
+            }
+        }
+        // Build outside the lock: concurrent first touches may build
+        // twice, but a slow rebuild never blocks other releases.
+        misses.fetch_add(1, Ordering::Relaxed);
+        let (matrix, built, bytes) = build()?;
+
+        let mut state = self.lock();
+        state.tick += 1;
+        let tick = state.tick;
+        // Serialized with `evict` by the lock held here: an artifact
+        // built while a removal or republish landed is never cached,
+        // or its bytes would strand in an entry no request can reach.
+        if !still_current() {
+            return Ok(built);
+        }
+        if key == ArtifactKey::Matrix && !state.map.contains_key(&id) {
+            // Versions are monotonic per name: a newer cached version
+            // means this build lost a race with a republish.
+            if state.map.keys().any(|(n, v)| *n == id.0 && *v > id.1) {
+                return Ok(built);
+            }
+            // An older version is unreachable now (the catalog only
+            // hands out the latest): drop it instead of leaving its
+            // bytes to LRU pressure.
+            state.remove_where(|(n, v)| *n == id.0 && *v < id.1);
+            state.map.insert(
+                id.clone(),
+                Cached {
+                    matrix_bytes: resident_bytes(&matrix),
+                    matrix,
+                    index: None,
+                    memos: HashMap::new(),
+                    memo_bytes: 0,
+                    charged: 0, // set by the refresh below
+                    last_used: tick,
+                },
+            );
+        } else {
+            let Some(cached) = state.map.get_mut(&id) else {
+                return Ok(built);
+            };
+            if let Some(winner) = cached.touch(&key, tick) {
+                return Ok(winner);
+            }
+            if !Arc::ptr_eq(&cached.matrix, &matrix) {
+                return Ok(built);
+            }
+            if let Artifact::Index(index) = &built {
+                cached.index = Some(Arc::clone(index));
+            } else {
+                cached.memo_bytes += bytes;
+                let slot = Slot {
+                    artifact: built.clone(),
+                    bytes,
+                    last_used: tick,
+                };
+                cached.memos.insert(key.clone(), slot);
+            }
+        }
+        Self::refresh_bytes(&mut state);
+        self.enforce_budget(&mut state, &id, &key);
+        Ok(built)
     }
 
     /// Returns the queryable rebuild of `entry`, from cache when warm.
@@ -326,93 +527,24 @@ impl QueryEngine {
         entry: &CatalogEntry,
         still_current: impl Fn() -> bool,
     ) -> Result<Arc<SanitizedMatrix>, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                cached.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&cached.matrix));
-            }
+        match self.get_or_build(entry, ArtifactKey::Matrix, &still_current, || {
+            let started = std::time::Instant::now();
+            let rebuilt = entry.release.as_ref().clone().into_sanitized();
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.rebuild_nanos.fetch_add(nanos, Ordering::Relaxed);
+            let rebuilt = rebuilt
+                .map_err(|e| ServeError(format!("release '{}' is invalid: {e}", entry.name)))?;
+            let matrix = Arc::new(rebuilt);
+            Ok((Arc::clone(&matrix), Artifact::Matrix(matrix), 0))
+        })? {
+            Artifact::Matrix(matrix) => Ok(matrix),
+            _ => unreachable!("a Matrix key yields a matrix"),
         }
-        // Rebuild outside the lock: concurrent first-touch of the same
-        // release may rebuild twice, but a slow rebuild never blocks
-        // queries against other (cached) releases.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let started = std::time::Instant::now();
-        let rebuilt = entry.release.as_ref().clone().into_sanitized();
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.rebuild_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let rebuilt =
-            rebuilt.map_err(|e| ServeError(format!("release '{}' is invalid: {e}", entry.name)))?;
-        let matrix = Arc::new(rebuilt);
-        let bytes = resident_bytes(&matrix);
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        // Another thread may have raced the rebuild; keep the winner.
-        if let Some(cached) = state.map.get_mut(&key) {
-            cached.last_used = tick;
-            return Ok(Arc::clone(&cached.matrix));
-        }
-        // Versions are monotonic per name. If a *newer* version is
-        // already cached, this rebuild lost a race with a republish
-        // (the entry it resolved is no longer the latest): serve it to
-        // this caller but do not cache it, and leave the fresh entry
-        // alone.
-        if state.map.keys().any(|(n, v)| *n == key.0 && *v > key.1) {
-            return Ok(matrix);
-        }
-        // Caller-supplied currency check, serialized with `evict` by the
-        // lock held here: a rebuild that raced a removal (or republish)
-        // is served but never cached.
-        if !still_current() {
-            return Ok(matrix);
-        }
-        // A republish made any older version of this name unreachable
-        // (the catalog only hands out the latest), so its cached rebuild
-        // — and the plan index riding on it — is dead weight: drop it
-        // now instead of stranding its bytes until LRU pressure happens
-        // to find it.
-        let stale: Vec<(String, u64)> = state
-            .map
-            .keys()
-            .filter(|(name, version)| *name == key.0 && *version < key.1)
-            .cloned()
-            .collect();
-        for old in stale {
-            if let Some(dropped) = state.map.remove(&old) {
-                self.retire(&dropped);
-            }
-        }
-        state.map.insert(
-            key.clone(),
-            Cached {
-                matrix: Arc::clone(&matrix),
-                matrix_bytes: bytes,
-                index: None,
-                partials: HashMap::new(),
-                partials_bytes: 0,
-                encoded: HashMap::new(),
-                encoded_bytes: 0,
-                charged: 0, // set by the refresh below
-                last_used: tick,
-            },
-        );
-        // Evict least-recently-used entries (never the one just added)
-        // until the budget holds.
-        Self::refresh_bytes(&mut state);
-        self.enforce_budget(&mut state, &key);
-        Ok(matrix)
     }
 
     /// Returns the release's prepared [`ReleaseIndex`], from cache when
     /// warm; a cold call builds (or reuses) the matrix rebuild through
-    /// [`Self::sanitized_if`] — inheriting its republish-staleness and
-    /// currency handling — then attaches a fresh index beside it.
+    /// [`Self::sanitized_if`], then attaches a fresh index beside it.
     ///
     /// # Errors
     /// As for [`Self::sanitized`].
@@ -431,69 +563,24 @@ impl QueryEngine {
         entry: &CatalogEntry,
         still_current: impl Fn() -> bool,
     ) -> Result<Arc<ReleaseIndex>, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                cached.last_used = tick;
-                if let Some(ix) = &cached.index {
-                    self.index_hits.fetch_add(1, Ordering::Relaxed);
-                    let ix = Arc::clone(ix);
-                    // Index bytes grow between accesses (memoization is
-                    // lazy), so the warm path re-charges *this* entry —
-                    // an O(1) delta, not a rescan of every resident
-                    // entry — and re-enforces the budget when the
-                    // growth pushed the ledger over it.
-                    let now = cached.bytes();
-                    let delta = now.saturating_sub(cached.charged);
-                    cached.charged = now;
-                    state.bytes += delta;
-                    if delta > 0 && state.bytes > self.byte_budget {
-                        self.enforce_budget(&mut state, &key);
-                    }
-                    return Ok(ix);
-                }
-            }
+        match self.get_or_build(entry, ArtifactKey::Index, &still_current, || {
+            let matrix = self.sanitized_if(entry, &still_current)?;
+            let index =
+                ReleaseIndex::with_marginal_budget(Arc::clone(&matrix), self.index_marginal_cap);
+            Ok((matrix, Artifact::Index(Arc::new(index)), 0))
+        })? {
+            Artifact::Index(index) => Ok(index),
+            _ => unreachable!("an Index key yields an index"),
         }
-        self.index_misses.fetch_add(1, Ordering::Relaxed);
-        // Resolve the matrix through the normal rebuild path (hit or
-        // miss), which owns all the staleness rules; then wrap it.
-        let matrix = self.sanitized_if(entry, &still_current)?;
-        let index = Arc::new(ReleaseIndex::with_marginal_budget(
-            matrix,
-            self.index_marginal_cap,
-        ));
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Attach only when the resident entry is exactly the matrix
-            // this index wraps (the entry may have raced a removal or
-            // republish while we built).
-            if Arc::ptr_eq(&cached.matrix, index.matrix()) {
-                cached.last_used = tick;
-                if let Some(existing) = &cached.index {
-                    return Ok(Arc::clone(existing)); // a racing builder won
-                }
-                cached.index = Some(Arc::clone(&index));
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
-        }
-        Ok(index)
     }
 
     /// Answers one epoch's share of a window plan through the partial
     /// memo: a warm `(entry, plan_key)` pair returns the memoized
     /// answer without touching the release at all; a cold one resolves
-    /// the epoch's [`ReleaseIndex`] (through [`Self::index_if`], which
-    /// owns all the staleness rules), runs `compute` against it, and
-    /// memoizes the answer beside the index under the shared byte
-    /// budget. `plan_key` must be a canonical serialization of the
-    /// inner plan — the caller owns that contract.
+    /// the epoch's [`ReleaseIndex`] (through [`Self::index_if`]), runs
+    /// `compute` against it, and memoizes the answer beside the index
+    /// under the shared byte budget. `plan_key` must be a canonical
+    /// serialization of the inner plan — the caller owns that contract.
     ///
     /// Because the memo rides the `(name, version)` cache entry, a
     /// republish of one epoch invalidates exactly that epoch's partials
@@ -511,65 +598,37 @@ impl QueryEngine {
         still_current: impl Fn() -> bool,
         compute: impl FnOnce(&ReleaseIndex) -> Result<Answer, ServeError>,
     ) -> Result<Answer, ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                if let Some((answer, _)) = cached.partials.get(plan_key) {
-                    cached.last_used = tick;
-                    self.partial_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(answer.clone());
-                }
-            }
+        let key = ArtifactKey::Partial(plan_key.to_string());
+        match self.get_or_build(entry, key, &still_current, || {
+            let index = self.index_if(entry, &still_current)?;
+            let answer = compute(&index)?;
+            let bytes = answer_bytes(&answer) + plan_key.len();
+            Ok((Arc::clone(index.matrix()), Artifact::Partial(answer), bytes))
+        })? {
+            Artifact::Partial(answer) => Ok(answer),
+            _ => unreachable!("a Partial key yields an answer"),
         }
-        self.partial_misses.fetch_add(1, Ordering::Relaxed);
-        let index = self.index_if(entry, &still_current)?;
-        let answer = compute(&index)?;
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Memoize only against the entry this answer was computed
-            // from (the entry may have raced a removal or republish
-            // while the plan ran) — and keep a racing winner's answer.
-            if Arc::ptr_eq(&cached.matrix, index.matrix())
-                && !cached.partials.contains_key(plan_key)
-            {
-                cached.last_used = tick;
-                let bytes = answer_bytes(&answer) + plan_key.len();
-                cached
-                    .partials
-                    .insert(plan_key.to_string(), (answer.clone(), bytes));
-                cached.partials_bytes += bytes;
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
-        }
-        Ok(answer)
     }
 
     /// Serves one request's final wire bytes through the encoded memo:
     /// a warm `(entry, encoding, plan_key)` triple returns the memoized
     /// bytes — no plan execution, no serialization, the caller memcpys
     /// them to the socket — together with the query units the answer
-    /// counts for. A cold triple runs `compute` (execute + encode, the
-    /// caller owns both) and memoizes its bytes beside the entry under
-    /// the shared LRU byte budget.
+    /// counts for. A cold triple resolves the release's rebuild (the
+    /// memo's anchor, through [`Self::sanitized_if`]), runs `compute`
+    /// (execute + encode, the caller owns both) and memoizes its bytes
+    /// beside the entry under the shared LRU byte budget.
     ///
-    /// The memo key rides the `(name, version)` cache entry like
-    /// `partials`, so a republish invalidates exactly the republished
-    /// release's bytes. `still_current` is consulted under the cache
-    /// lock before a fresh result is memoized: a compute that raced a
-    /// removal or republish is served to its caller but never cached.
-    /// `plan_key` must be a canonical serialization of the request's
-    /// plan and `enc` the response encoding discriminant — the caller
-    /// owns both contracts.
+    /// The memo rides the `(name, version)` cache entry like the
+    /// partials, so a republish invalidates exactly the republished
+    /// release's bytes, and `still_current` gates caching as for
+    /// [`Self::sanitized_if`]. `plan_key` must be a canonical
+    /// serialization of the request's plan and `enc` the response
+    /// encoding discriminant — the caller owns both contracts.
     ///
     /// # Errors
-    /// Whatever `compute` returns; errors are never memoized.
+    /// As for [`Self::sanitized`], plus whatever `compute` returns;
+    /// errors are never memoized.
     pub fn encoded_response(
         &self,
         entry: &CatalogEntry,
@@ -578,99 +637,37 @@ impl QueryEngine {
         still_current: impl Fn() -> bool,
         compute: impl FnOnce() -> Result<(Vec<u8>, u64), ServeError>,
     ) -> Result<(Arc<Vec<u8>>, u64), ServeError> {
-        let key = (entry.name.clone(), entry.version);
-        let memo_key = (enc, plan_key.to_string());
-        {
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(&key) {
-                if let Some(e) = cached.encoded.get(&memo_key) {
-                    cached.last_used = tick;
-                    self.encoded_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&e.bytes), e.units));
-                }
-            }
+        let key = ArtifactKey::Encoded(enc, plan_key.to_string());
+        match self.get_or_build(entry, key, &still_current, || {
+            let matrix = self.sanitized_if(entry, &still_current)?;
+            let (bytes, units) = compute()?;
+            let charge = bytes.len() + plan_key.len() + 64;
+            Ok((matrix, Artifact::Encoded(Arc::new(bytes), units), charge))
+        })? {
+            Artifact::Encoded(bytes, units) => Ok((bytes, units)),
+            _ => unreachable!("an Encoded key yields wire bytes"),
         }
-        self.encoded_misses.fetch_add(1, Ordering::Relaxed);
-        let (bytes, units) = compute()?;
-        let bytes = Arc::new(bytes);
-
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(cached) = state.map.get_mut(&key) {
-            // Memoize only while the entry is still the catalog's
-            // current version (checked under the lock, as
-            // `sanitized_if` does) — and keep a racing winner's bytes.
-            if still_current() && !cached.encoded.contains_key(&memo_key) {
-                cached.last_used = tick;
-                let cost = bytes.len() + memo_key.1.len() + 64;
-                cached.encoded.insert(
-                    memo_key,
-                    EncodedEntry {
-                        bytes: Arc::clone(&bytes),
-                        units,
-                    },
-                );
-                cached.encoded_bytes += cost;
-                Self::refresh_bytes(&mut state);
-                self.enforce_budget(&mut state, &key);
-            }
-        }
-        Ok((bytes, units))
     }
 
-    /// Drops every cached rebuild of `name` (any version) — plan
-    /// indexes included — returning the bytes reclaimed. Used when a
+    /// Drops every cached rebuild of `name` (any version) — with every
+    /// artifact riding it — returning the bytes reclaimed. Used when a
     /// release is removed outright: no future request can reach those
     /// entries, so leaving them to LRU pressure would strand their
     /// bytes on an idle server.
     pub fn evict(&self, name: &str) -> usize {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let victims: Vec<(String, u64)> = state
-            .map
-            .keys()
-            .filter(|(n, _)| n == name)
-            .cloned()
-            .collect();
-        let mut reclaimed = 0;
-        for key in victims {
-            if let Some(dropped) = state.map.remove(&key) {
-                self.retire(&dropped);
-                reclaimed += dropped.bytes();
-            }
-        }
-        Self::refresh_bytes(&mut state);
-        reclaimed
+        self.lock().remove_where(|(n, _)| n == name)
     }
 
-    /// Drops every cached rebuild and index (counters are preserved).
+    /// Drops every cached rebuild and artifact (counters are preserved).
     pub fn clear(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        for (_, cached) in state.map.drain() {
-            self.retire(&cached);
-        }
-        state.bytes = 0;
+        self.lock().remove_where(|_| true);
     }
 
     /// Lifetime warm hits per pyramid level, ascending by level:
     /// evicted indexes' counts plus the live indexes' own.
     pub fn pyramid_level_hits(&self) -> Vec<(u32, u64)> {
-        let mut merged: HashMap<u32, u64> = self
-            .retired_pyramid_level_hits
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        {
-            let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            for ix in state.map.values().filter_map(|c| c.index.as_ref()) {
-                for (level, n) in ix.pyramid_level_hits() {
-                    *merged.entry(level).or_insert(0) += n;
-                }
-            }
-        }
-        let mut hits: Vec<(u32, u64)> = merged.into_iter().collect();
+        let totals = self.lock().index_totals();
+        let mut hits: Vec<(u32, u64)> = totals.pyramid_level_hits.into_iter().collect();
         hits.sort_unstable();
         hits
     }
@@ -684,38 +681,40 @@ impl QueryEngine {
 
     /// Current counters.
     pub fn stats(&self) -> EngineStats {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         Self::refresh_bytes(&mut state);
-        let live_nanos: u64 = state
-            .map
-            .values()
-            .filter_map(|c| c.index.as_ref())
-            .map(|ix| ix.build_nanos())
-            .sum();
         let live_indexes = || state.map.values().filter_map(|c| c.index.as_ref());
-        let live_pyramid_hits: u64 = live_indexes().map(|ix| ix.pyramid_hits()).sum();
-        let live_pyramid_misses: u64 = live_indexes().map(|ix| ix.pyramid_misses()).sum();
+        let memos = |kind: usize| {
+            state
+                .map
+                .values()
+                .flat_map(|c| c.memos.iter())
+                .filter(move |(k, _)| k.kind() == kind)
+                .map(|(_, slot)| slot.bytes)
+        };
+        let totals = state.index_totals();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let [matrix, index, partial, encoded] = &self.counters;
         EngineStats {
-            pyramid_entries: live_indexes().map(|ix| ix.pyramid_entries()).sum(),
-            pyramid_bytes: live_indexes().map(|ix| ix.pyramid_bytes()).sum(),
-            pyramid_hits: self.retired_pyramid_hits.load(Ordering::Relaxed) + live_pyramid_hits,
-            pyramid_misses: self.retired_pyramid_misses.load(Ordering::Relaxed)
-                + live_pyramid_misses,
             entries: state.map.len(),
             bytes: state.bytes,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            index_entries: state.map.values().filter(|c| c.index.is_some()).count(),
-            index_hits: self.index_hits.load(Ordering::Relaxed),
-            index_misses: self.index_misses.load(Ordering::Relaxed),
-            partial_entries: state.map.values().map(|c| c.partials.len()).sum(),
-            partial_hits: self.partial_hits.load(Ordering::Relaxed),
-            partial_misses: self.partial_misses.load(Ordering::Relaxed),
-            encoded_entries: state.map.values().map(|c| c.encoded.len()).sum(),
-            encoded_hits: self.encoded_hits.load(Ordering::Relaxed),
-            encoded_misses: self.encoded_misses.load(Ordering::Relaxed),
-            encoded_bytes: state.map.values().map(|c| c.encoded_bytes).sum(),
-            index_build_nanos: self.retired_index_nanos.load(Ordering::Relaxed) + live_nanos,
+            hits: load(&matrix.0),
+            misses: load(&matrix.1),
+            index_entries: live_indexes().count(),
+            index_hits: load(&index.0),
+            index_misses: load(&index.1),
+            partial_entries: memos(PARTIAL).count(),
+            partial_hits: load(&partial.0),
+            partial_misses: load(&partial.1),
+            encoded_entries: memos(ENCODED).count(),
+            encoded_hits: load(&encoded.0),
+            encoded_misses: load(&encoded.1),
+            encoded_bytes: memos(ENCODED).sum(),
+            index_build_nanos: totals.build_nanos,
+            pyramid_entries: live_indexes().map(|ix| ix.pyramid_entries()).sum(),
+            pyramid_bytes: live_indexes().map(|ix| ix.pyramid_bytes()).sum(),
+            pyramid_hits: totals.pyramid_hits,
+            pyramid_misses: totals.pyramid_misses,
         }
     }
 }
@@ -1374,5 +1373,190 @@ mod tests {
         // Build time of the evicted index survives in the lifetime
         // counter.
         assert!(stats.index_build_nanos > 0);
+    }
+
+    #[test]
+    fn a_lone_entrys_memos_are_bounded_by_the_budget() {
+        use dpod_query::{plan, QueryPlan};
+        let c = catalog_with(&["a"], 8);
+        let budget = 64 << 10;
+        let engine = QueryEngine::new(budget);
+        let entry = c.get("a").unwrap();
+        engine.index(&entry).unwrap();
+        let mut largest = 0;
+        for i in 0..2000 {
+            let key = format!("plan-{i}");
+            let (bytes, _) = engine
+                .encoded_response(&entry, 0, &key, || true, || Ok((vec![7u8; 1024], 1)))
+                .unwrap();
+            largest = largest.max(bytes.len() + key.len() + 64);
+            engine
+                .window_partial(
+                    &entry,
+                    &key,
+                    || true,
+                    |ix| plan::execute_with(ix, &QueryPlan::Total).map_err(|e| ServeError(e.0)),
+                )
+                .unwrap();
+        }
+        let stats = engine.stats();
+        assert!(
+            stats.encoded_bytes <= budget.max(largest),
+            "{} memo bytes under a {budget}-byte budget",
+            stats.encoded_bytes
+        );
+        assert!(stats.partial_entries < 2000, "partials must be trimmed too");
+        // The matrix and its index are never trimmed.
+        assert_eq!((stats.entries, stats.index_entries), (1, 1));
+        // The newest answer stays warm; the oldest went first.
+        let hits = stats.encoded_hits;
+        let never = || -> Result<(Vec<u8>, u64), ServeError> { panic!("must be a hit") };
+        engine
+            .encoded_response(&entry, 0, "plan-1999", || true, never)
+            .unwrap();
+        assert_eq!(engine.stats().encoded_hits, hits + 1);
+        let misses = engine.stats().encoded_misses;
+        engine
+            .encoded_response(&entry, 0, "plan-0", || true, || Ok((vec![7u8; 1024], 1)))
+            .unwrap();
+        assert_eq!(engine.stats().encoded_misses, misses + 1);
+    }
+
+    /// A seeded 8×8 release with one heavy cell, distinct per `seed`.
+    fn release_8x8(seed: u64) -> PublishedRelease {
+        let mut m = DenseMatrix::<u64>::zeros(Shape::new(vec![8, 8]).unwrap());
+        m.add_at(&[(seed % 8) as usize, 3], 500 + seed).unwrap();
+        let out = Ebp::default()
+            .sanitize(
+                &m,
+                Epsilon::new(0.5).unwrap(),
+                &mut dpod_dp::seeded_rng(seed),
+            )
+            .unwrap();
+        PublishedRelease::from_sanitized(&out)
+    }
+
+    /// One answer a reader thread was served: the entry it resolved,
+    /// the plan, and the answer (or, for the encoded memo, its bytes).
+    type Served = (Arc<crate::CatalogEntry>, usize, Result<Answer, Vec<u8>>);
+
+    #[test]
+    fn concurrent_lookups_beside_republish_and_removal_strand_nothing() {
+        use dpod_query::{plan, QueryPlan};
+        let names: Vec<String> = (0..6).map(|i| format!("r{i}")).collect();
+        let c = Catalog::new();
+        for (i, name) in names.iter().enumerate() {
+            c.publish(name, release_8x8(i as u64));
+        }
+        let plans = [
+            QueryPlan::Total,
+            QueryPlan::TopK { k: 3 },
+            QueryPlan::Marginal { keep: vec![1] },
+            QueryPlan::Range {
+                lo: vec![1, 0],
+                hi: vec![6, 8],
+            },
+        ];
+        let keys: Vec<String> = plans
+            .iter()
+            .map(|p| serde_json::to_string(p).unwrap())
+            .collect();
+        let per_entry = {
+            let probe = QueryEngine::new(usize::MAX);
+            warm_index(&probe.index(&c.get("r0").unwrap()).unwrap());
+            probe.stats().bytes
+        };
+        // Room for about two warmed entries: lookups evict each other.
+        let engine = QueryEngine::new(2 * per_entry + per_entry / 2);
+        let removed = ["r4", "r5"];
+
+        // All four threads start together, so lookups overlap the churn.
+        let start = std::sync::Barrier::new(4);
+        let served: Vec<Served> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..3)
+                .map(|t| {
+                    let (c, engine, names, plans, keys) = (&c, &engine, &names, &plans, &keys);
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        let mut served = Vec::new();
+                        for i in 0..400usize {
+                            let Some(entry) = c.get(&names[(i * 7 + t) % names.len()]) else {
+                                continue;
+                            };
+                            let p = (i + t) % plans.len();
+                            let current = || {
+                                c.get(&entry.name)
+                                    .is_some_and(|now| now.version == entry.version)
+                            };
+                            let run = |ix: &ReleaseIndex| {
+                                plan::execute_with(ix, &plans[p]).map_err(|e| ServeError(e.0))
+                            };
+                            let answer = match (i + t) % 3 {
+                                0 => Ok(run(&engine.index_if(&entry, current).unwrap()).unwrap()),
+                                1 => Ok(engine
+                                    .window_partial(&entry, &keys[p], current, run)
+                                    .unwrap()),
+                                _ => {
+                                    let compute = || {
+                                        let index = engine.index_if(&entry, current)?;
+                                        let answer = run(&index)?;
+                                        Ok((
+                                            serde_json::to_string(&answer).unwrap().into_bytes(),
+                                            answer.units(),
+                                        ))
+                                    };
+                                    let (bytes, _) = engine
+                                        .encoded_response(&entry, 0, &keys[p], current, compute)
+                                        .unwrap();
+                                    Err(bytes.to_vec())
+                                }
+                            };
+                            served.push((entry, p, answer));
+                        }
+                        served
+                    })
+                })
+                .collect();
+            let (c, engine, start) = (&c, &engine, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..120u64 {
+                    let name = format!("r{}", round % 6);
+                    if removed.contains(&name.as_str()) && round >= 60 {
+                        // Removal as `Server::remove_release` does it.
+                        c.remove(&name);
+                        engine.evict(&name);
+                        continue;
+                    }
+                    c.publish(&name, release_8x8(100 + round));
+                    std::thread::yield_now();
+                }
+            });
+            readers
+                .into_iter()
+                .flat_map(|r| r.join().unwrap())
+                .collect()
+        });
+
+        for name in removed {
+            assert!(c.get(name).is_none());
+            assert_eq!(engine.evict(name), 0, "'{name}' stranded a cache entry");
+        }
+        // r0..r3 are never removed: two thirds of the 1200 lookups.
+        assert!(served.len() >= 790, "{} lookups served", served.len());
+        let mut rebuilt: HashMap<(String, u64), SanitizedMatrix> = HashMap::new();
+        for (entry, p, answer) in &served {
+            let matrix = rebuilt
+                .entry((entry.name.clone(), entry.version))
+                .or_insert_with(|| entry.release.as_ref().clone().into_sanitized().unwrap());
+            let expected = plan::execute(matrix, &plans[*p]).unwrap();
+            match answer {
+                Ok(answer) => assert_eq!(answer, &expected, "{} v{}", entry.name, entry.version),
+                Err(bytes) => {
+                    assert_eq!(bytes, serde_json::to_string(&expected).unwrap().as_bytes())
+                }
+            }
+        }
     }
 }

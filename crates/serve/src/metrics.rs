@@ -418,7 +418,7 @@ pub(crate) fn render_metrics(server: &Server) -> String {
     );
     gauge(
         "dpod_server_queries_total",
-        "Range queries answered since start",
+        "Queries answered since start (one per legacy range or plan leaf)",
         "counter",
         server.queries_answered().to_string(),
     );

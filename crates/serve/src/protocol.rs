@@ -170,7 +170,8 @@ pub struct ReleaseInfo {
 pub struct ServerStats {
     /// Catalogued releases.
     pub releases: usize,
-    /// Range queries answered since start.
+    /// Queries answered since start: one per legacy range or plan leaf
+    /// (`Answer::units`).
     pub queries: u64,
     /// Rebuild-cache residents.
     pub cache_entries: usize,
@@ -288,7 +289,8 @@ pub struct StageLatency {
 pub struct ReleaseHits {
     /// Catalog name the queries addressed.
     pub name: String,
-    /// Range queries answered against it since server start.
+    /// Queries answered against it since server start (one per
+    /// legacy range or plan leaf).
     pub hits: u64,
 }
 

@@ -32,8 +32,7 @@ use crate::conn::{run_job, Assembler};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{ReleaseHits, ReleaseInfo, Request, Response, ServerStats};
 use crate::series::{self, SeriesLedgers};
-use crate::{wire, Catalog, QueryEngine, ServeError};
-use dpod_fmatrix::AxisBox;
+use crate::{wire, Catalog, CatalogEntry, QueryEngine, ServeError};
 use dpod_query::{Answer, EpochSelector, QueryPlan, WindowMerge};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -105,8 +104,8 @@ impl std::str::FromStr for FrontEnd {
 
 /// How [`Server::handle_encoded`] serializes a response into final
 /// socket bytes — one variant per wire shape a connection can be in.
-/// The discriminant keys the engine's encoded-response memo, so each
-/// encoding memoizes its own bytes.
+/// The discriminant (`as u8`) keys the engine's encoded-response memo,
+/// so each encoding memoizes its own bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseEncoding {
     /// One JSON document plus the trailing newline (NDJSON transport
@@ -120,15 +119,6 @@ pub enum ResponseEncoding {
 }
 
 impl ResponseEncoding {
-    /// The memo-key discriminant for this encoding.
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            ResponseEncoding::Json => 0,
-            ResponseEncoding::Binary => 1,
-            ResponseEncoding::BinaryPacked => 2,
-        }
-    }
-
     /// Serializes `resp` into complete socket bytes: JSON line with its
     /// `\n`, or a `DPRB` frame *with* its u32 length prefix. A response
     /// too large to frame degrades to an in-protocol error so the
@@ -423,16 +413,10 @@ impl Server {
         let mut answers = Vec::with_capacity(selected.len());
         for info in &selected {
             let answer = if self.indexed_plans() {
-                let name = info.entry.name.clone();
-                let version = info.entry.version;
                 self.engine.window_partial(
                     &info.entry,
                     &plan_key,
-                    || {
-                        self.catalog
-                            .get(&name)
-                            .is_some_and(|current| current.version == version)
-                    },
+                    self.still_current(&info.entry),
                     |index| {
                         dpod_query::plan::execute_with(index, inner).map_err(|e| ServeError(e.0))
                     },
@@ -450,37 +434,15 @@ impl Server {
     /// is a [`Response::Error`].
     pub fn handle(&self, request: &Request) -> Response {
         match request {
-            Request::Query { release, lo, hi } => {
-                let answer = self.resolve(release).and_then(|m| self.sum_on(&m, lo, hi));
-                match answer {
-                    Ok(value) => {
-                        self.note_hits(release, 1);
-                        Response::Value { value }
-                    }
+            Request::Query { release, lo, hi } => match self.answer_ranges(release, [(lo, hi)]) {
+                Ok(values) => Response::Value { value: values[0] },
+                Err(e) => Response::Error { message: e.0 },
+            },
+            Request::Batch { release, ranges } => {
+                match self.answer_ranges(release, ranges.iter().map(|(lo, hi)| (lo, hi))) {
+                    Ok(values) => Response::Values { values },
                     Err(e) => Response::Error { message: e.0 },
                 }
-            }
-            Request::Batch { release, ranges } => {
-                // Resolve the release once: one catalog lookup and one
-                // cache access for the whole batch.
-                let matrix = match self.resolve(release) {
-                    Ok(m) => m,
-                    Err(e) => return Response::Error { message: e.0 },
-                };
-                let mut values = Vec::with_capacity(ranges.len());
-                for (lo, hi) in ranges {
-                    match self.sum_on(&matrix, lo, hi) {
-                        Ok(v) => values.push(v),
-                        Err(e) => {
-                            // Mirror the global `queries` counter: the
-                            // ranges answered before the failure count.
-                            self.note_hits(release, values.len() as u64);
-                            return Response::Error { message: e.0 };
-                        }
-                    }
-                }
-                self.note_hits(release, values.len() as u64);
-                Response::Values { values }
             }
             Request::Plan { release, plan } => {
                 match self.execute_plan(release, plan) {
@@ -488,9 +450,7 @@ impl Server {
                         // A plan counts one query per leaf answered; a
                         // failed plan counts none (unlike `Batch`, plans
                         // are answered whole-or-not).
-                        let units = answer.units();
-                        self.queries.fetch_add(units, Ordering::Relaxed);
-                        self.note_hits(release, units);
+                        self.note_hits(release, answer.units());
                         Response::Answer { answer }
                     }
                     Err(e) => Response::Error { message: e.0 },
@@ -569,13 +529,42 @@ impl Server {
         {
             self.answer_window(release, select, *merge, inner)
         } else if self.indexed_plans() {
-            self.resolve_index(release).and_then(|ix| {
-                dpod_query::plan::execute_with(ix.as_ref(), plan).map_err(|e| ServeError(e.0))
-            })
+            let entry = self.entry(release)?;
+            let index = self.engine.index_if(&entry, self.still_current(&entry))?;
+            dpod_query::plan::execute_with(index.as_ref(), plan).map_err(|e| ServeError(e.0))
         } else {
-            self.resolve(release)
-                .and_then(|m| dpod_query::plan::execute(&m, plan).map_err(|e| ServeError(e.0)))
+            let matrix = self.resolve(release)?;
+            dpod_query::plan::execute(&matrix, plan).map_err(|e| ServeError(e.0))
         }
+    }
+
+    /// Answers legacy `Query`/`Batch` ranges as [`QueryPlan::Range`]
+    /// plans against the release's rebuild, resolved once per batch (a
+    /// range sum reads only the rebuild's prefix table, never the
+    /// index). The ranges answered before a failure still count.
+    fn answer_ranges<'a>(
+        &self,
+        release: &str,
+        ranges: impl IntoIterator<Item = (&'a Vec<usize>, &'a Vec<usize>)>,
+    ) -> Result<Vec<f64>, ServeError> {
+        let matrix = self.resolve(release)?;
+        let mut values = Vec::new();
+        for (lo, hi) in ranges {
+            let plan = QueryPlan::Range {
+                lo: lo.clone(),
+                hi: hi.clone(),
+            };
+            match dpod_query::plan::execute(&matrix, &plan) {
+                Ok(Answer::Value { value }) => values.push(value),
+                Ok(other) => unreachable!("a Range plan answers a value, not {other:?}"),
+                Err(e) => {
+                    self.note_hits(release, values.len() as u64);
+                    return Err(ServeError(e.0));
+                }
+            }
+        }
+        self.note_hits(release, values.len() as u64);
+        Ok(values)
     }
 
     /// Answers one request as final socket-ready bytes in the given
@@ -597,16 +586,11 @@ impl Server {
                 if let (Some(entry), Ok(plan_key)) =
                     (self.catalog.get(release), serde_json::to_string(plan))
                 {
-                    let version = entry.version;
                     let result = self.engine.encoded_response(
                         &entry,
-                        enc.code(),
+                        enc as u8,
                         &plan_key,
-                        || {
-                            self.catalog
-                                .get(release)
-                                .is_some_and(|current| current.version == version)
-                        },
+                        self.still_current(&entry),
                         || {
                             let answer = self.execute_plan(release, plan)?;
                             let units = answer.units();
@@ -615,7 +599,6 @@ impl Server {
                     );
                     return match result {
                         Ok((bytes, units)) => {
-                            self.queries.fetch_add(units, Ordering::Relaxed);
                             self.note_hits(release, units);
                             bytes
                         }
@@ -629,63 +612,38 @@ impl Server {
         Arc::new(enc.encode(&self.handle(request)))
     }
 
+    /// The engine's currency check for `entry`: whether it is still the
+    /// catalog's current version of its name. The engine runs it under
+    /// its cache lock, and only on a miss (warm hits stay at one catalog
+    /// lookup), before caching anything built for `entry`. That closes
+    /// the race with [`Self::remove_release`] and republishes: whatever
+    /// was in flight when the removal's evict ran is served but never
+    /// cached, so its bytes cannot strand in an entry no request reaches.
+    fn still_current<'a>(&'a self, entry: &'a CatalogEntry) -> impl Fn() -> bool + 'a {
+        move || {
+            self.catalog
+                .get(&entry.name)
+                .is_some_and(|current| current.version == entry.version)
+        }
+    }
+
+    /// The catalog's current entry for `release`.
+    fn entry(&self, release: &str) -> Result<Arc<CatalogEntry>, ServeError> {
+        self.catalog
+            .get(release)
+            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))
+    }
+
     /// Resolves a release name to its cached queryable rebuild.
     fn resolve(&self, release: &str) -> Result<Arc<dpod_core::SanitizedMatrix>, ServeError> {
-        let entry = self
-            .catalog
-            .get(release)
-            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))?;
-        // The currency re-check runs only on the rebuild (miss) path,
-        // keeping the cached hot path at one catalog lookup. It closes
-        // the race with [`Self::remove_release`]: a rebuild in flight
-        // when the removal's evict runs must not be cached afterwards,
-        // or its bytes strand in an entry no request can reach.
-        self.engine.sanitized_if(&entry, || {
-            self.catalog
-                .get(release)
-                .is_some_and(|current| current.version == entry.version)
-        })
+        let entry = self.entry(release)?;
+        self.engine.sanitized_if(&entry, self.still_current(&entry))
     }
 
-    /// Resolves a release name to its prepared plan index, with the
-    /// same currency re-check as [`Self::resolve`] (an index built
-    /// while a removal or republish lands is served but never cached).
-    fn resolve_index(&self, release: &str) -> Result<Arc<dpod_query::ReleaseIndex>, ServeError> {
-        let entry = self
-            .catalog
-            .get(release)
-            .ok_or_else(|| ServeError(format!("unknown release '{release}'")))?;
-        self.engine.index_if(&entry, || {
-            self.catalog
-                .get(release)
-                .is_some_and(|current| current.version == entry.version)
-        })
-    }
-
-    /// Validates one range against `matrix` and answers it.
-    fn sum_on(
-        &self,
-        matrix: &dpod_core::SanitizedMatrix,
-        lo: &[usize],
-        hi: &[usize],
-    ) -> Result<f64, ServeError> {
-        let q = AxisBox::new(lo.to_vec(), hi.to_vec())
-            .map_err(|e| ServeError(format!("bad range: {e}")))?;
-        let shape = matrix.matrix().shape();
-        if q.ndim() != shape.ndim() || !q.fits(shape) {
-            return Err(ServeError(format!(
-                "range {:?}..{:?} does not fit domain {:?}",
-                q.lo(),
-                q.hi(),
-                shape.dims()
-            )));
-        }
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        Ok(matrix.range_sum(&q))
-    }
-
-    /// Records `n` answered queries against `release`.
+    /// Records `n` answered queries against `release` (and on the global
+    /// query counter).
     fn note_hits(&self, release: &str, n: u64) {
+        self.queries.fetch_add(n, Ordering::Relaxed);
         if n == 0 {
             return;
         }
@@ -771,7 +729,8 @@ impl Server {
         self.engine.pyramid_level_hits()
     }
 
-    /// Range queries answered since start.
+    /// Queries answered since start: one per legacy range or plan leaf
+    /// ([`Answer::units`]).
     pub fn queries_answered(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
